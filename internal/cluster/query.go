@@ -572,7 +572,7 @@ func (c *Cluster) planBuddySegment(q *optimizer.LogicalQuery, opts optimizer.Pla
 	}
 	restrict := expr.MustCmp(expr.Eq, ring, expr.NewConst(types.NewInt(int64(downID))))
 	bq := *q
-	bq.Where = expr.MustAnd(q.Where, restrict)
+	bq.On = expr.MustAnd(q.On, restrict) // a scan restriction: pushed down even under an outer join
 	bopts := opts
 	bopts.AllowBuddies = true
 	ex := map[string]bool{}

@@ -47,7 +47,13 @@ type LogicalQuery struct {
 	From      []TableRef
 	JoinConds []JoinCond
 
+	// Where filters the joined rows. Its single-table conjuncts are pushed
+	// to their table's scan, except on the null-supplying side of an outer
+	// join, where they must see the padded rows and run after the join.
 	Where expr.Expr
+	// On holds the non-equi conjuncts of ON clauses. They restrict a table
+	// before it is joined, so they are always pushed to its scan.
+	On expr.Expr
 
 	// Plain (non-aggregate) queries: select list over the flat schema.
 	SelectExprs []expr.Expr
@@ -224,6 +230,7 @@ func (q *LogicalQuery) neededColumns() columnSet {
 		}
 	}
 	addExpr(q.Where)
+	addExpr(q.On)
 	for _, e := range q.SelectExprs {
 		addExpr(e)
 	}
@@ -245,30 +252,54 @@ func (q *LogicalQuery) neededColumns() columnSet {
 	return cs
 }
 
-// splitConjuncts partitions the WHERE clause into per-table conjuncts (all
-// columns from one table) and cross-table residuals.
+// splitConjuncts partitions the ON and WHERE conjuncts into per-table
+// conjuncts (all columns from one table, pushed to its scan) and residuals
+// evaluated over the joined rows: cross-table conjuncts, and WHERE
+// conjuncts on a table an outer join pads with NULLs.
 func (q *LogicalQuery) splitConjuncts() (perTable map[int][]expr.Expr, residual []expr.Expr) {
 	perTable = map[int][]expr.Expr{}
-	for _, c := range expr.Conjuncts(q.Where) {
-		tbl := -2
-		for _, f := range expr.ColumnsOf(c) {
-			t, _ := q.tableOfFlat(f)
+	padded := q.nullSupplied()
+	split := func(e expr.Expr, where bool) {
+		for _, c := range expr.Conjuncts(e) {
+			tbl := -2
+			for _, f := range expr.ColumnsOf(c) {
+				t, _ := q.tableOfFlat(f)
+				if tbl == -2 {
+					tbl = t
+				} else if tbl != t {
+					tbl = -1
+				}
+			}
 			if tbl == -2 {
-				tbl = t
-			} else if tbl != t {
-				tbl = -1
+				tbl = 0 // constant conjunct: attach to table 0
+			}
+			if tbl < 0 || (where && padded[tbl]) {
+				residual = append(residual, c)
+			} else {
+				perTable[tbl] = append(perTable[tbl], c)
 			}
 		}
-		if tbl >= 0 {
-			perTable[tbl] = append(perTable[tbl], c)
-		} else if tbl == -2 {
-			// Constant conjunct: attach to table 0.
-			perTable[0] = append(perTable[0], c)
-		} else {
-			residual = append(residual, c)
-		}
 	}
+	split(q.On, false)
+	split(q.Where, true)
 	return perTable, residual
+}
+
+// nullSupplied reports which FROM tables an outer join pads with NULLs.
+// Only two-table queries carry a join type (see JoinCond.Type).
+func (q *LogicalQuery) nullSupplied() map[int]bool {
+	if len(q.From) != 2 || len(q.JoinConds) == 0 {
+		return nil
+	}
+	switch q.JoinConds[0].Type {
+	case exec.LeftOuterJoin:
+		return map[int]bool{1: true}
+	case exec.RightOuterJoin:
+		return map[int]bool{0: true}
+	case exec.FullOuterJoin:
+		return map[int]bool{0: true, 1: true}
+	}
+	return nil
 }
 
 // selectivityScore estimates the fraction of rows surviving a table's local

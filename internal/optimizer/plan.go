@@ -91,10 +91,14 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 	// Star-style join ordering (paper §6.2): the largest table is the fact;
 	// dimensions join in increasing effective size (selectivity x rows) so
 	// the most selective dimensions filter first.
+	// A two-table outer, semi or anti join keeps its FROM order instead:
+	// the first table is the probe side, the side the join type preserves.
 	factIdx := 0
-	for i, ts := range scans {
-		if ts.rows > scans[factIdx].rows {
-			factIdx = i
+	if len(q.From) != 2 || len(q.JoinConds) == 0 || q.JoinConds[0].Type == exec.InnerJoin {
+		for i, ts := range scans {
+			if ts.rows > scans[factIdx].rows {
+				factIdx = i
+			}
 		}
 	}
 	var dims []*tableScan

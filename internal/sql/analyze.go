@@ -290,8 +290,9 @@ func AnalyzeSelect(s *SelectStmt, cat *catalog.Catalog) (*optimizer.LogicalQuery
 		sc.tables = append(sc.tables, scopeTable{alias: te.Alias, table: t, flatOff: flatOff})
 		flatOff += t.Schema.Len()
 	}
-	// Join conditions from ON clauses; non-equi parts fold into WHERE.
-	var whereParts []expr.Expr
+	// Join conditions from ON clauses; non-equi parts restrict their table
+	// before the join (LogicalQuery.On).
+	var onParts, whereParts []expr.Expr
 	for i, te := range s.From {
 		if te.On == nil {
 			continue
@@ -305,11 +306,12 @@ func AnalyzeSelect(s *SelectStmt, cat *catalog.Catalog) (*optimizer.LogicalQuery
 				jc.Type = joinTypeOf(te.JoinType)
 				q.JoinConds = append(q.JoinConds, jc)
 			} else {
-				whereParts = append(whereParts, c)
+				onParts = append(onParts, c)
 			}
 		}
 		_ = i
 	}
+	q.On = expr.MustAnd(onParts...)
 	if s.Where != nil {
 		bound, err := bindExpr(s.Where, sc)
 		if err != nil {

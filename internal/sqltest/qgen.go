@@ -25,6 +25,9 @@ type ColProfile struct {
 type TableProfile struct {
 	Name string
 	Cols []ColProfile
+	// Rows is the table's row count when profiled (bounds generated join
+	// sizes).
+	Rows int
 }
 
 // QGen generates random boolean predicates over profiled tables. All
@@ -47,6 +50,115 @@ func NewQGen(seed int64, tables []TableProfile) *QGen {
 func (g *QGen) NextPredicate() (TableProfile, string) {
 	t := g.tables[g.rng.Intn(len(g.tables))]
 	return t, g.boolExpr(t, 2)
+}
+
+// Predicate generates a boolean predicate over the given profile (a table,
+// or the alias-qualified columns of a JoinSpec).
+func (g *QGen) Predicate(t TableProfile) string { return g.boolExpr(t, 2) }
+
+// GroupKey picks a column of t to group by.
+func (g *QGen) GroupKey(t TableProfile) ColProfile {
+	return t.Cols[g.rng.Intn(len(t.Cols))]
+}
+
+// SortKey is one ORDER BY item: a column position in the select list and
+// its direction.
+type SortKey struct {
+	Col  int
+	Desc bool
+}
+
+// OrderBy picks one or two distinct sort columns of t with random
+// directions.
+func (g *QGen) OrderBy(t TableProfile) []SortKey {
+	n := 1 + g.rng.Intn(2)
+	if n > len(t.Cols) {
+		n = len(t.Cols)
+	}
+	perm := g.rng.Perm(len(t.Cols))
+	out := make([]SortKey, n)
+	for i := range out {
+		out[i] = SortKey{Col: perm[i], Desc: g.rng.Intn(2) == 0}
+	}
+	return out
+}
+
+// JoinSpec is a generated two-table equi-join:
+//
+//	FROM Left l [LEFT OUTER] JOIN Right r ON l.LeftKey = r.RightKey
+//
+// Left and Right may be the same table (a self-join).
+type JoinSpec struct {
+	Left, Right       TableProfile
+	LeftKey, RightKey string
+	Outer             bool
+}
+
+// From renders the join's FROM clause.
+func (j JoinSpec) From() string {
+	kind := "JOIN"
+	if j.Outer {
+		kind = "LEFT OUTER JOIN"
+	}
+	return fmt.Sprintf("%s l %s %s r ON l.%s = r.%s", j.Left.Name, kind, j.Right.Name, j.LeftKey, j.RightKey)
+}
+
+// Profile is the combined column profile of both sides, qualified by the
+// aliases l and r; predicates and select lists over the join use it.
+func (j JoinSpec) Profile() TableProfile {
+	out := TableProfile{Name: j.From()}
+	for _, side := range []struct {
+		alias string
+		t     TableProfile
+	}{{"l", j.Left}, {"r", j.Right}} {
+		for _, c := range side.t.Cols {
+			c.Name = side.alias + "." + c.Name
+			out.Cols = append(out.Cols, c)
+		}
+	}
+	return out
+}
+
+// joinable reports whether an equi-join between columns of types a and b
+// is well-typed and meaningful: the same type, or INT against FLOAT.
+func joinable(a, b types.Type) bool {
+	if a == b {
+		return true
+	}
+	num := func(t types.Type) bool { return t == types.Int64 || t == types.Float64 }
+	return num(a) && num(b)
+}
+
+// NextJoin picks two tables (possibly the same one) whose row-count
+// product is at most maxRows, and a join-compatible column pair between
+// them. ok is false when no such pair exists.
+func (g *QGen) NextJoin(maxRows int) (j JoinSpec, ok bool) {
+	type cand struct{ l, r, lc, rc int }
+	var cands []cand
+	for li, l := range g.tables {
+		for ri, r := range g.tables {
+			if l.Rows*r.Rows > maxRows {
+				continue
+			}
+			for lc, a := range l.Cols {
+				for rc, b := range r.Cols {
+					if joinable(a.Typ, b.Typ) {
+						cands = append(cands, cand{li, ri, lc, rc})
+					}
+				}
+			}
+		}
+	}
+	if len(cands) == 0 {
+		return JoinSpec{}, false
+	}
+	c := cands[g.rng.Intn(len(cands))]
+	l, r := g.tables[c.l], g.tables[c.r]
+	return JoinSpec{
+		Left: l, Right: r,
+		LeftKey: l.Cols[c.lc].Name, RightKey: r.Cols[c.rc].Name,
+		Outer: g.rng.Intn(2) == 0,
+	}, true
 }
 
 func (g *QGen) boolExpr(t TableProfile, depth int) string {

@@ -9,7 +9,11 @@
 //	  ∪ SELECT cols FROM t WHERE (p) IS NULL
 //
 // because every row makes p evaluate to exactly one of TRUE / FALSE / NULL.
-// No expected output is needed — the database is its own oracle — so the
+// The same identity is checked over the shapes the executor's hash tables
+// and sort serve: GROUP BY with keys (per-group COUNT/SUM add up across the
+// partitions), two-table INNER and LEFT OUTER equi-joins (rowset), and
+// ORDER BY (each result sorted, and equal to the unsorted query as a
+// multiset). No expected output is needed — the database is its own oracle — so the
 // check exercises predicate evaluation, NULL handling, scan pruning and
 // delete-vector filtering far beyond what hand-written goldens cover.
 // Every partition query additionally runs on a serial AND a parallel
@@ -34,8 +38,9 @@ type TLPConfig struct {
 	// Setup); failures print it so runs are reproducible.
 	Seed int64
 	// Predicates is how many random predicates to generate. Each predicate
-	// drives one rowset TLP check plus an alternating aggregate or DISTINCT
-	// form (4 + ~4 executed queries, each on both engines).
+	// drives one rowset TLP check, an alternating aggregate or DISTINCT
+	// form, and one of the GROUP BY / join / ORDER BY forms in rotation
+	// (about 13 executed queries, each on both engines).
 	Predicates int
 	// Setup statements are replayed into both engines before generation
 	// (typically the `statement` records of an .slt file). Statements on
@@ -95,6 +100,14 @@ func RunTLP(t *testing.T, cfg TLPConfig) TLPStats {
 		} else {
 			run.checkDistinct(i, tp, pred, g)
 		}
+		switch i % 3 {
+		case 0:
+			run.checkGroupBy(i, tp, pred, g)
+		case 1:
+			run.checkJoin(i, g)
+		default:
+			run.checkOrderBy(i, tp, pred, g)
+		}
 	}
 	return TLPStats{Predicates: cfg.Predicates, Queries: run.queries}
 }
@@ -115,7 +128,7 @@ func ProfileTables(t *testing.T, db *core.Database) []TableProfile {
 		if err != nil || len(res.Rows) == 0 {
 			continue
 		}
-		tp := TableProfile{Name: tab.Name}
+		tp := TableProfile{Name: tab.Name, Rows: len(res.Rows)}
 		for i, c := range cols {
 			cp := ColProfile{Name: c.Name, Typ: c.Typ}
 			seen := map[string]bool{}
@@ -247,6 +260,213 @@ func (r *tlpRun) checkDistinct(idx int, tp TableProfile, pred string, g *QGen) {
 		r.t.Errorf("TLP DISTINCT violation (seed=%d, predicate #%d): %v\n  %s\n  %s\n  %s\n  %s\n%s",
 			r.seed, idx, err, all, p, notP, nullP, r.repro())
 	}
+}
+
+// maxJoinRows bounds a generated join's input-size product, keeping
+// fan-out self-joins on low-cardinality keys small.
+const maxJoinRows = 40000
+
+// partitions runs the unpartitioned query and its three TLP partitions on
+// both engines; ok is false when any of them failed (already reported).
+func (r *tlpRun) partitions(idx int, base, pred, suffix string) (all []string, parts [3][]string, sqls [4]string, ok bool) {
+	r.t.Helper()
+	a, p, n, nl := partitionSQL(base, pred)
+	sqls = [4]string{a + suffix, p + suffix, n + suffix, nl + suffix}
+	ok = true
+	for i, sql := range sqls {
+		rows, good := r.rows(idx, sql)
+		ok = ok && good
+		if i == 0 {
+			all = rows
+		} else {
+			parts[i-1] = rows
+		}
+	}
+	return all, parts, sqls, ok
+}
+
+// checkGroupBy: GROUP BY over a random key column. Every group of the
+// unpartitioned query must appear in some partition, and its COUNT(*) and
+// integer SUM must equal the per-group sums over the partitions.
+func (r *tlpRun) checkGroupBy(idx int, tp TableProfile, pred string, g *QGen) {
+	r.t.Helper()
+	key := g.GroupKey(tp)
+	aggs := "COUNT(*)"
+	for _, c := range tp.Cols {
+		if c.Typ == types.Int64 && c.Name != key.Name {
+			aggs += ", SUM(" + c.Name + ")"
+			break
+		}
+	}
+	base := fmt.Sprintf("SELECT %s, %s FROM %s", key.Name, aggs, tp.Name)
+	all, parts, sqls, ok := r.partitions(idx, base, pred, " GROUP BY "+key.Name)
+	if !ok {
+		return
+	}
+	if err := CheckTLPGroupBy(strings.Count(aggs, ",")+1, all, parts[:]...); err != nil {
+		r.t.Errorf("TLP GROUP BY violation (seed=%d, predicate #%d): %v\n  %s\n%s",
+			r.seed, idx, err, strings.Join(sqls[:], "\n  "), r.repro())
+	}
+}
+
+// checkJoin: a generated INNER or LEFT OUTER equi-join between two tables
+// (possibly one table twice) under the rowset TLP identity, with the
+// predicate drawn over both sides' columns.
+func (r *tlpRun) checkJoin(idx int, g *QGen) {
+	r.t.Helper()
+	j, ok := g.NextJoin(maxJoinRows)
+	if !ok {
+		return
+	}
+	tp := j.Profile()
+	names := make([]string, len(tp.Cols))
+	for i, c := range tp.Cols {
+		names[i] = c.Name
+	}
+	base := fmt.Sprintf("SELECT %s FROM %s", strings.Join(names, ", "), tp.Name)
+	all, parts, sqls, ok := r.partitions(idx, base, g.Predicate(tp), "")
+	if !ok {
+		return
+	}
+	if err := CheckTLP(all, parts[:]...); err != nil {
+		r.t.Errorf("TLP join violation (seed=%d, predicate #%d): %v\n  %s\n%s",
+			r.seed, idx, err, strings.Join(sqls[:], "\n  "), r.repro())
+	}
+}
+
+// checkOrderBy: every partition query carries a random ORDER BY. Each
+// engine's output must be sorted on the keys, the partitions must satisfy
+// the rowset identity, and the sorted unpartitioned result must equal the
+// unsorted query as a multiset.
+func (r *tlpRun) checkOrderBy(idx int, tp TableProfile, pred string, g *QGen) {
+	r.t.Helper()
+	names := make([]string, len(tp.Cols))
+	for i, c := range tp.Cols {
+		names[i] = c.Name
+	}
+	keys := g.OrderBy(tp)
+	items := make([]string, len(keys))
+	for i, k := range keys {
+		items[i] = names[k.Col]
+		if k.Desc {
+			items[i] += " DESC"
+		}
+	}
+	base := fmt.Sprintf("SELECT %s FROM %s", strings.Join(names, ", "), tp.Name)
+	suffix := " ORDER BY " + strings.Join(items, ", ")
+	unsorted, ok := r.rows(idx, base)
+	if !ok {
+		return
+	}
+	all, p, notP, nullP := partitionSQL(base, pred)
+	for _, sql := range []string{all + suffix, p + suffix, notP + suffix, nullP + suffix} {
+		for _, db := range []*core.Database{r.serial, r.parallel} {
+			res, err := db.Execute(sql)
+			if err != nil {
+				continue // reported by r.rows below
+			}
+			if err := CheckSorted(res.Rows, keys); err != nil {
+				r.t.Errorf("ORDER BY violation (seed=%d, predicate #%d): %v\n  %s\n%s",
+					r.seed, idx, err, sql, r.repro())
+				return
+			}
+		}
+	}
+	rowsAll, parts, sqls, ok := r.partitions(idx, base, pred, suffix)
+	if !ok {
+		return
+	}
+	if err := CheckTLP(rowsAll, parts[:]...); err != nil {
+		r.t.Errorf("TLP ORDER BY violation (seed=%d, predicate #%d): %v\n  %s\n%s",
+			r.seed, idx, err, strings.Join(sqls[:], "\n  "), r.repro())
+	}
+	if err := CheckTLP(unsorted, rowsAll); err != nil {
+		r.t.Errorf("ORDER BY changed the result multiset (seed=%d, predicate #%d): %v\n  %s\n  %s\n%s",
+			r.seed, idx, err, base, sqls[0], r.repro())
+	}
+}
+
+// CheckSorted asserts rows are ordered by the sort keys: ascending puts
+// NULLs first, descending reverses the whole order (NULLs last).
+func CheckSorted(rows []types.Row, keys []SortKey) error {
+	for i := 1; i < len(rows); i++ {
+		for _, k := range keys {
+			c := rows[i-1][k.Col].Compare(rows[i][k.Col])
+			if k.Desc {
+				c = -c
+			}
+			if c < 0 {
+				break
+			}
+			if c > 0 {
+				return fmt.Errorf("rows %d and %d out of order: %v then %v", i-1, i, rows[i-1], rows[i])
+			}
+		}
+	}
+	return nil
+}
+
+// CheckTLPGroupBy asserts the GROUP BY TLP identity over rendered rows
+// whose last nAggs cells are additive aggregates (COUNT, integer SUM) and
+// whose leading cells are the group key: the unpartitioned query's groups
+// must be exactly the union of the partitions' groups, each aggregate equal
+// to its per-group sum over the partitions (a NULL SUM counts as 0).
+func CheckTLPGroupBy(nAggs int, all []string, partitions ...[]string) error {
+	split := func(rows []string) (map[string][]float64, error) {
+		out := map[string][]float64{}
+		for _, row := range rows {
+			cells := strings.Split(row, "|")
+			if len(cells) <= nAggs {
+				return nil, fmt.Errorf("row %q has no group key", row)
+			}
+			key := strings.Join(cells[:len(cells)-nAggs], "|")
+			if _, dup := out[key]; dup {
+				return nil, fmt.Errorf("group %q appears twice", key)
+			}
+			vals, err := aggCells([]string{strings.Join(cells[len(cells)-nAggs:], "|")})
+			if err != nil {
+				return nil, err
+			}
+			out[key] = vals
+		}
+		return out, nil
+	}
+	want, err := split(all)
+	if err != nil {
+		return err
+	}
+	got := map[string][]float64{}
+	for _, p := range partitions {
+		groups, err := split(p)
+		if err != nil {
+			return err
+		}
+		for k, vals := range groups {
+			if got[k] == nil {
+				got[k] = make([]float64, nAggs)
+			}
+			for i, v := range vals {
+				got[k][i] += v
+			}
+		}
+	}
+	for k, vals := range want {
+		sums, ok := got[k]
+		if !ok {
+			return fmt.Errorf("group %q in no partition", k)
+		}
+		for i, v := range vals {
+			if v != sums[i] {
+				return fmt.Errorf("group %q aggregate %d: unpartitioned=%v, partitions sum=%v", k, i, v, sums[i])
+			}
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			return fmt.Errorf("group %q in a partition but not unpartitioned", k)
+		}
+	}
+	return nil
 }
 
 // CheckTLP asserts the rowset TLP identity: the unpartitioned result must
