@@ -157,3 +157,31 @@ func TestColocatedCountDistinctMultiNode(t *testing.T) {
 		t.Error("non-co-located COUNT DISTINCT should be rejected on a multi-node cluster")
 	}
 }
+
+// Regression: an equi-join between an INT and a FLOAT column returned no
+// rows, serial and parallel alike, because the join keys hashed with their
+// type mixed in (1 and 1.0 hashed apart in the hash table and in the
+// exchange's resegmentation). The planner now casts the INT key to FLOAT.
+func TestIntFloatEquiJoin(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		db, err := Open(Options{Dir: t.TempDir(), Parallelism: par, ForceParallel: par > 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.MustExecute(`CREATE TABLE a (i INT, f FLOAT)`)
+		db.MustExecute(`CREATE TABLE b (i INT, f FLOAT)`)
+		db.MustExecute(`CREATE PROJECTION a_super ON a (i, f) ORDER BY i`)
+		db.MustExecute(`CREATE PROJECTION b_super ON b (i, f) ORDER BY i`)
+		db.MustExecute(`INSERT INTO a VALUES (1, 1.0), (2, -0.0), (3, 0.0), (NULL, NULL)`)
+		db.MustExecute(`INSERT INTO b VALUES (1, 1.0), (2, 2.0), (0, 0.0)`)
+		for sql, want := range map[string]int64{
+			`SELECT COUNT(*) FROM a JOIN b ON a.i = b.f`: 2,
+			`SELECT COUNT(*) FROM a JOIN b ON a.f = b.i`: 3,
+			`SELECT COUNT(DISTINCT f) FROM a`:            2,
+		} {
+			if got := db.MustExecute(sql).Rows[0][0].I; got != want {
+				t.Errorf("parallelism %d: %s = %d, want %d", par, sql, got, want)
+			}
+		}
+	}
+}

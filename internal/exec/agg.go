@@ -329,7 +329,11 @@ func distinctKey(v types.Value) string {
 	case types.Varchar:
 		return "s" + v.S
 	case types.Float64:
-		return fmt.Sprintf("f%x", v.F)
+		f := v.F
+		if f == 0 {
+			f = 0 // -0.0 and 0.0 are one value, as in GROUP BY and hashing
+		}
+		return fmt.Sprintf("f%x", f)
 	default:
 		return fmt.Sprintf("i%d", v.I)
 	}

@@ -157,43 +157,31 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		}
 		// Merge join when both sides are sorted on the join keys
 		// (paper §6.2: merge joins on sorted, compressed columns first).
+		innerOff := curWidth
 		if mj, ok := tryMergeJoin(q, jt, fact, dim, cur, outerKeys, innerKeys); ok {
 			cur = mj
 			plan.Notes = append(plan.Notes, fmt.Sprintf("merge join with %s (sort orders aligned)", dimDesc))
-		} else if w := parallelWays(opts, runningEst); w > 1 {
-			// Partitioned parallel hash join: both sides resegment on the
-			// join keys across w ways, so each way joins a complete,
-			// disjoint key partition (SIP is skipped — the probe scan sits
-			// behind an exchange and each way holds only a partial key set).
-			pj, err := planParallelHashJoin(plan, jt, cur, dim.op, outerKeys, innerKeys, w)
-			if err != nil {
-				return nil, err
-			}
-			cur = pj
-			plan.Notes = append(plan.Notes, fmt.Sprintf(
-				"parallel hash join with %s: %d ways, both sides resegmented on the join keys", dimDesc, w))
 		} else {
-			hj, err := exec.NewHashJoin(jt, cur, dim.op, outerKeys, innerKeys)
-			if err != nil {
+			// Hash joins need both keys of a pair to hash alike.
+			outer, inner := cur, dim.op
+			var err error
+			if outer, outerKeys, err = castIntKeys(outer, outerKeys, inner.Schema(), innerKeys); err != nil {
 				return nil, err
 			}
-			// SIP (paper §6.1): push a build-side key filter into the scan
-			// owning every outer key, for join types that discard
-			// unmatched probe rows.
-			if !opts.NoSIP && (jt == exec.InnerJoin || jt == exec.SemiJoin || jt == exec.RightOuterJoin) {
-				if sip := trySIP(fact, outerKeys, dimDesc); sip != nil {
-					hj.SIP = sip
-					plan.Notes = append(plan.Notes, "SIP filter pushed to scan of "+fact.proj.Name)
-				}
+			if inner, innerKeys, err = castIntKeys(inner, innerKeys, outer.Schema(), outerKeys); err != nil {
+				return nil, err
 			}
-			cur = hj
+			innerOff = outer.Schema().Len()
+			if cur, err = planHashJoin(plan, opts, jt, fact, outer, inner, outerKeys, innerKeys, runningEst, dimDesc); err != nil {
+				return nil, err
+			}
 		}
 		if jt != exec.SemiJoin && jt != exec.AntiJoin {
 			for c, out := range dim.colToOut {
-				colMap[offs[dim.tblIdx]+c] = curWidth + out
+				colMap[offs[dim.tblIdx]+c] = innerOff + out
 			}
-			curWidth += len(dim.cols)
 		}
+		curWidth = cur.Schema().Len()
 		joined[dim.tblIdx] = true
 
 		// Join output cardinality from the key columns' distinct counts
@@ -212,6 +200,69 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 	}
 	plan.estInput = runningEst
 	return finishPlan(p, q, plan, cur, colMap, residual, opts)
+}
+
+// planHashJoin joins outer to inner by hashing: partitioned across w ways
+// when the input is large enough, serial with a SIP filter otherwise.
+func planHashJoin(plan *PhysicalPlan, opts PlanOpts, jt exec.JoinType, fact *tableScan, outer, inner exec.Operator,
+	outerKeys, innerKeys []int, estRows float64, dimDesc string) (exec.Operator, error) {
+	if w := parallelWays(opts, estRows); w > 1 {
+		// Partitioned parallel hash join: both sides resegment on the
+		// join keys across w ways, so each way joins a complete,
+		// disjoint key partition (SIP is skipped — the probe scan sits
+		// behind an exchange and each way holds only a partial key set).
+		pj, err := planParallelHashJoin(plan, jt, outer, inner, outerKeys, innerKeys, w)
+		if err != nil {
+			return nil, err
+		}
+		plan.Notes = append(plan.Notes, fmt.Sprintf(
+			"parallel hash join with %s: %d ways, both sides resegmented on the join keys", dimDesc, w))
+		return pj, nil
+	}
+	hj, err := exec.NewHashJoin(jt, outer, inner, outerKeys, innerKeys)
+	if err != nil {
+		return nil, err
+	}
+	// SIP (paper §6.1): push a build-side key filter into the scan
+	// owning every outer key, for join types that discard
+	// unmatched probe rows.
+	if !opts.NoSIP && (jt == exec.InnerJoin || jt == exec.SemiJoin || jt == exec.RightOuterJoin) {
+		if sip := trySIP(fact, outerKeys, dimDesc); sip != nil {
+			hj.SIP = sip
+			plan.Notes = append(plan.Notes, "SIP filter pushed to scan of "+fact.proj.Name)
+		}
+	}
+	return hj, nil
+}
+
+// castIntKeys coerces an equi-join's keys to a common type: each INT key of
+// op joined to a FLOAT key on the other side is cast to FLOAT in a column
+// appended to op, and the returned keys point at it. Hashing mixes the
+// value's type in, so without the cast 1 and 1.0 would land in different
+// hash buckets and exchange partitions and never meet.
+func castIntKeys(op exec.Operator, keys []int, other *types.Schema, otherKeys []int) (exec.Operator, []int, error) {
+	sch := op.Schema()
+	var casts []expr.Expr
+	out := append([]int(nil), keys...)
+	for i, k := range keys {
+		if sch.Col(k).Typ != types.Int64 || other.Col(otherKeys[i]).Typ != types.Float64 {
+			continue
+		}
+		f, err := expr.NewFunc("FLOAT", expr.NewColRef(k, types.Int64, sch.Col(k).Name))
+		if err != nil {
+			return nil, nil, err
+		}
+		out[i] = sch.Len() + len(casts)
+		casts = append(casts, f)
+	}
+	if casts == nil {
+		return op, keys, nil
+	}
+	exprs := make([]expr.Expr, 0, sch.Len()+len(casts))
+	for c, col := range sch.Cols {
+		exprs = append(exprs, expr.NewColRef(c, col.Typ, col.Name))
+	}
+	return exec.NewProject(op, append(exprs, casts...), nil), out, nil
 }
 
 func dimNames(q *LogicalQuery, dims []*tableScan) []string {
