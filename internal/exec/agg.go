@@ -2,10 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // AggKind identifies an aggregate function.
@@ -126,7 +129,9 @@ func sanitizeAggName(n string) string {
 	return n
 }
 
-// aggAcc is one aggregate's accumulator within one group.
+// aggAcc is one running aggregate over a row stream: the analytic
+// (window) functions' accumulator. GroupBy and Prepass keep their
+// per-group state column-wise in aggCol instead.
 type aggAcc struct {
 	kind  AggKind
 	typ   types.Type
@@ -136,19 +141,6 @@ type aggAcc struct {
 	minV  types.Value
 	maxV  types.Value
 	seen  bool
-	// distinct values for COUNT(DISTINCT) in hash mode.
-	distinct map[string]bool
-}
-
-func newAggAcc(spec *AggSpec) *aggAcc {
-	acc := &aggAcc{kind: spec.Kind}
-	if spec.Arg != nil {
-		acc.typ = spec.Arg.Type()
-	}
-	if spec.Kind == AggCountDistinct {
-		acc.distinct = map[string]bool{}
-	}
-	return acc
 }
 
 // update folds one input value into the accumulator (v ignored for
@@ -160,10 +152,6 @@ func (a *aggAcc) update(v types.Value) {
 	case AggCount:
 		if !v.Null {
 			a.count++
-		}
-	case AggCountDistinct:
-		if !v.Null {
-			a.distinct[distinctKey(v)] = true
 		}
 	case AggSum, AggAvg:
 		if v.Null {
@@ -196,45 +184,11 @@ func (a *aggAcc) update(v types.Value) {
 	}
 }
 
-// updateRun folds a run of `n` identical values — the RLE-direct fast path
-// (paper §6.1: operators "operate directly on encoded data", which is
-// "especially important for ... certain low level aggregates").
-func (a *aggAcc) updateRun(v types.Value, n int64) {
-	switch a.kind {
-	case AggCountStar:
-		a.count += n
-	case AggCount:
-		if !v.Null {
-			a.count += n
-		}
-	case AggCountDistinct:
-		if !v.Null {
-			a.distinct[distinctKey(v)] = true
-		}
-	case AggSum, AggAvg:
-		if v.Null {
-			return
-		}
-		a.seen = true
-		a.count += n
-		if v.Typ == types.Float64 {
-			a.sumF += v.F * float64(n)
-		} else {
-			a.sumI += v.I * n
-			a.sumF += float64(v.I) * float64(n)
-		}
-	default:
-		a.update(v) // min/max of a run is the run value
-	}
-}
-
 // final produces the aggregate's result value.
 func (a *aggAcc) final() types.Value {
 	switch a.kind {
 	case AggCountStar, AggCount:
 		return types.NewInt(a.count)
-	case AggCountDistinct:
-		return types.NewInt(int64(len(a.distinct)))
 	case AggSum:
 		if !a.seen {
 			return types.NewNull(a.typ)
@@ -261,80 +215,267 @@ func (a *aggAcc) final() types.Value {
 	}
 }
 
-// partial serializes the accumulator as partial-state values (prepass
-// output; see AggSpec.PartialCols).
-func (a *aggAcc) partial() []types.Value {
-	switch a.kind {
-	case AggCountStar, AggCount:
-		return []types.Value{types.NewInt(a.count)}
-	case AggAvg:
-		if !a.seen {
-			return []types.Value{types.NewNull(types.Float64), types.NewInt(0)}
-		}
-		return []types.Value{types.NewFloat(a.sumF), types.NewInt(a.count)}
-	case AggSum:
-		return []types.Value{a.final()}
+// aggCol is one aggregate's state for every group of a GroupBy or
+// Prepass, struct-of-arrays: element g of each slice belongs to group g.
+// A kind uses only the slices it needs:
+//
+//	COUNT(*), COUNT, COUNT(DISTINCT)  count
+//	SUM                               sumI (integers) or sumF (floats), seen
+//	AVG                               sumF, count
+//	MIN, MAX                          ext, seen
+type aggCol struct {
+	kind  AggKind
+	typ   types.Type // argument type: the result type of SUM, MIN, MAX
+	count []int64
+	sumI  []int64
+	sumF  []float64
+	seen  []bool
+	ext   *vector.Vector // current MIN/MAX per group
+	// distinct holds the (group, value) pairs COUNT(DISTINCT) has seen.
+	distinct map[distinctKey]struct{}
+}
+
+// distinctKey is one (group, value) pair of COUNT(DISTINCT): integers in
+// v, floats as their bits with -0.0 folded into 0.0, strings in s.
+type distinctKey struct {
+	g int32
+	v uint64
+	s string
+}
+
+func newAggCol(spec *AggSpec) *aggCol {
+	a := &aggCol{kind: spec.Kind}
+	if spec.Arg != nil {
+		a.typ = spec.Arg.Type()
+	}
+	switch spec.Kind {
 	case AggMin, AggMax:
-		return []types.Value{a.final()}
-	default:
-		return nil
+		a.ext = vector.New(a.typ, 0)
+	case AggCountDistinct:
+		a.distinct = map[distinctKey]struct{}{}
+	}
+	return a
+}
+
+// extend grows s to n zeroed elements.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// grow extends the state to n groups; new groups start empty.
+func (a *aggCol) grow(n int) {
+	switch a.kind {
+	case AggCountStar, AggCount, AggCountDistinct:
+		a.count = extend(a.count, n)
+	case AggAvg:
+		a.sumF = extend(a.sumF, n)
+		a.count = extend(a.count, n)
+	case AggSum:
+		a.seen = extend(a.seen, n)
+		if a.typ == types.Float64 {
+			a.sumF = extend(a.sumF, n)
+		} else {
+			a.sumI = extend(a.sumI, n)
+		}
+	case AggMin, AggMax:
+		a.seen = extend(a.seen, n)
+		switch a.typ {
+		case types.Float64:
+			a.ext.Floats = extend(a.ext.Floats, n)
+		case types.Varchar:
+			a.ext.Strs = extend(a.ext.Strs, n)
+		default:
+			a.ext.Ints = extend(a.ext.Ints, n)
+		}
 	}
 }
 
-// mergePartial folds partial-state values (as produced by partial) in.
-func (a *aggAcc) mergePartial(vals []types.Value) {
+// fold folds rows [lo, hi) into their groups, row r into group ids[r].
+// in is the argument vector (nil for COUNT(*)), or with merge set the
+// aggregate's partial columns (see AggSpec.PartialCols). Vectors are flat.
+func (a *aggCol) fold(ids []int32, lo, hi int, in []*vector.Vector, merge bool) {
+	var arg *vector.Vector
+	var nulls []bool
+	if len(in) > 0 {
+		arg = in[0]
+		nulls = arg.Nulls
+	}
+	switch {
+	case a.kind == AggCountStar && !merge:
+		for _, g := range ids[lo:hi] {
+			a.count[g]++
+		}
+	case a.kind == AggCount && !merge:
+		for r := lo; r < hi; r++ {
+			if nulls == nil || !nulls[r] {
+				a.count[ids[r]]++
+			}
+		}
+	case a.kind == AggCountStar || a.kind == AggCount: // merge
+		for r := lo; r < hi; r++ {
+			a.count[ids[r]] += arg.Ints[r]
+		}
+	case a.kind == AggAvg:
+		for r := lo; r < hi; r++ {
+			if nulls != nil && nulls[r] {
+				continue
+			}
+			g := ids[r]
+			switch {
+			case merge:
+				a.sumF[g] += arg.Floats[r]
+				a.count[g] += in[1].Ints[r]
+				continue
+			case arg.Typ == types.Float64:
+				a.sumF[g] += arg.Floats[r]
+			default:
+				a.sumF[g] += float64(arg.Ints[r])
+			}
+			a.count[g]++
+		}
+	case a.kind == AggSum: // a partial sum folds like a value
+		for r := lo; r < hi; r++ {
+			if nulls != nil && nulls[r] {
+				continue
+			}
+			g := ids[r]
+			if a.typ == types.Float64 {
+				a.sumF[g] += arg.Floats[r]
+			} else {
+				a.sumI[g] += arg.Ints[r]
+			}
+			a.seen[g] = true
+		}
+	case a.kind == AggMin || a.kind == AggMax:
+		a.foldExt(ids, lo, hi, arg)
+	case a.kind == AggCountDistinct:
+		for r := lo; r < hi; r++ {
+			if nulls != nil && nulls[r] {
+				continue
+			}
+			k := distinctKey{g: ids[r]}
+			switch arg.Typ {
+			case types.Float64:
+				f := arg.Floats[r]
+				if f == 0 {
+					f = 0 // -0.0 and 0.0 are one value, as in GROUP BY
+				}
+				k.v = math.Float64bits(f)
+			case types.Varchar:
+				k.s = arg.Strs[r]
+			default:
+				k.v = uint64(arg.Ints[r])
+			}
+			if _, dup := a.distinct[k]; !dup {
+				a.distinct[k] = struct{}{}
+				a.count[k.g]++
+			}
+		}
+	}
+}
+
+// foldExt folds MIN/MAX (a partial MIN/MAX folds like a value).
+func (a *aggCol) foldExt(ids []int32, lo, hi int, arg *vector.Vector) {
+	min := a.kind == AggMin
+	nulls := arg.Nulls
+	for r := lo; r < hi; r++ {
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		g := ids[r]
+		var better bool
+		switch arg.Typ {
+		case types.Float64:
+			v, cur := arg.Floats[r], a.ext.Floats[g]
+			if better = !a.seen[g] || (min && v < cur) || (!min && v > cur); better {
+				a.ext.Floats[g] = v
+			}
+		case types.Varchar:
+			v, cur := arg.Strs[r], a.ext.Strs[g]
+			if better = !a.seen[g] || (min && v < cur) || (!min && v > cur); better {
+				a.ext.Strs[g] = v
+			}
+		default:
+			v, cur := arg.Ints[r], a.ext.Ints[g]
+			if better = !a.seen[g] || (min && v < cur) || (!min && v > cur); better {
+				a.ext.Ints[g] = v
+			}
+		}
+		a.seen[g] = true
+	}
+}
+
+// final returns the aggregate's result column for groups [lo, hi).
+func (a *aggCol) final(lo, hi int) *vector.Vector {
+	switch a.kind {
+	case AggCountStar, AggCount, AggCountDistinct:
+		return vector.NewFromInts(types.Int64, slices.Clone(a.count[lo:hi]))
+	case AggAvg:
+		out := make([]float64, hi-lo)
+		for g := lo; g < hi; g++ {
+			if a.count[g] > 0 {
+				out[g-lo] = a.sumF[g] / float64(a.count[g])
+			}
+		}
+		v := vector.NewFromFloats(out)
+		v.Nulls = nullsWhere(lo, hi, func(g int) bool { return a.count[g] == 0 })
+		return v
+	}
+	v := &vector.Vector{Typ: a.typ}
+	switch {
+	case a.kind == AggSum && a.typ == types.Float64:
+		v.Floats = slices.Clone(a.sumF[lo:hi])
+	case a.kind == AggSum:
+		v.Ints = slices.Clone(a.sumI[lo:hi])
+	case a.typ == types.Float64:
+		v.Floats = slices.Clone(a.ext.Floats[lo:hi])
+	case a.typ == types.Varchar:
+		v.Strs = slices.Clone(a.ext.Strs[lo:hi])
+	default:
+		v.Ints = slices.Clone(a.ext.Ints[lo:hi])
+	}
+	v.Nulls = nullsWhere(lo, hi, func(g int) bool { return !a.seen[g] })
+	return v
+}
+
+// partial returns the aggregate's partial-state columns for groups
+// [lo, hi) (see AggSpec.PartialCols).
+func (a *aggCol) partial(lo, hi int) []*vector.Vector {
 	switch a.kind {
 	case AggCountStar, AggCount:
-		a.count += vals[0].I
+		return []*vector.Vector{vector.NewFromInts(types.Int64, slices.Clone(a.count[lo:hi]))}
 	case AggAvg:
-		if vals[0].Null {
-			return
-		}
-		a.seen = true
-		a.sumF += vals[0].F
-		a.count += vals[1].I
-	case AggSum:
-		if vals[0].Null {
-			return
-		}
-		a.seen = true
-		if a.typ == types.Float64 {
-			a.sumF += vals[0].F
-		} else {
-			a.sumI += vals[0].I
-		}
-	case AggMin:
-		if !vals[0].Null {
-			a.update(vals[0])
-		}
-	case AggMax:
-		if !vals[0].Null {
-			a.update(vals[0])
-		}
+		sum := vector.NewFromFloats(slices.Clone(a.sumF[lo:hi]))
+		sum.Nulls = nullsWhere(lo, hi, func(g int) bool { return a.count[g] == 0 })
+		return []*vector.Vector{sum, vector.NewFromInts(types.Int64, slices.Clone(a.count[lo:hi]))}
+	default: // SUM, MIN, MAX
+		return []*vector.Vector{a.final(lo, hi)}
 	}
 }
 
-// memBytes estimates the accumulator's footprint for budget accounting.
-func (a *aggAcc) memBytes() int64 {
-	b := int64(96)
-	if a.distinct != nil {
-		b += int64(len(a.distinct)) * 32
+// nullsWhere is a null bitmap over [lo, hi), nil when no element is null.
+func nullsWhere(lo, hi int, null func(int) bool) []bool {
+	var out []bool
+	for g := lo; g < hi; g++ {
+		if null(g) {
+			if out == nil {
+				out = make([]bool, hi-lo)
+			}
+			out[g-lo] = true
+		}
 	}
-	return b
+	return out
 }
 
-// distinctKey canonicalizes a value for distinct-set membership.
-func distinctKey(v types.Value) string {
-	switch v.Typ {
-	case types.Varchar:
-		return "s" + v.S
-	case types.Float64:
-		f := v.F
-		if f == 0 {
-			f = 0 // -0.0 and 0.0 are one value, as in GROUP BY and hashing
-		}
-		return fmt.Sprintf("f%x", f)
-	default:
-		return fmt.Sprintf("i%d", v.I)
+// bytes is the state's footprint.
+func (a *aggCol) bytes() int64 {
+	n := int64(cap(a.count)+cap(a.sumI)+cap(a.sumF))*8 + int64(cap(a.seen))
+	if a.ext != nil {
+		n += vecBytes(a.ext)
 	}
+	// A map entry holds a 32-byte key plus bucket overhead.
+	return n + int64(len(a.distinct))*64
 }

@@ -3,8 +3,7 @@ package exec
 import (
 	"container/heap"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/types"
@@ -22,6 +21,10 @@ import (
 //   - one-pass (pipelined) aggregation for inputs sorted by the group key,
 //     with an RLE-direct fast path for COUNT(*) over run-length keys;
 //   - a merge mode consuming partial rows produced by Prepass operators.
+//
+// Its state is columnar (groupState): group keys in a flat hash table,
+// aggregates as struct-of-arrays accumulators, output emitted column-wise
+// in group-arrival order. Only a spill sorts groups by key.
 type GroupBy struct {
 	single
 	Keys     []expr.Expr
@@ -35,36 +38,44 @@ type GroupBy struct {
 	// columns.
 	MergePartials bool
 
-	schema *types.Schema
+	schema       *types.Schema
+	keyTypes     []types.Type
+	partialTypes []types.Type // keys then every aggregate's partial columns
 
-	// hash state
-	groups   map[uint64][]*groupEntry
-	memUsed  int64
-	budget   int64 // starts at Ctx.MemBudget, grows by grant renegotiation
-	extDone  bool  // denied with no spill fallback: stop renegotiating
-	spills   []*spillReader
-	rowArity int
+	st      *groupState
+	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
+	extDone bool  // denied with no spill fallback: stop renegotiating
+	spills  []*spillReader
 
-	// one-pass state
-	curKey  types.Row
-	curAccs []*aggAcc
-
-	// output
-	out    []types.Row
+	out    *vector.Batch // every output row, sliced into batches by next
 	outPos int
 	opened bool
 	prof   OpProf
 }
 
-type groupEntry struct {
-	key  types.Row
-	accs []*aggAcc
-}
-
 // NewGroupBy builds a grouping node.
 func NewGroupBy(child Operator, keys []expr.Expr, keyNames []string, aggs []AggSpec) *GroupBy {
 	g := &GroupBy{single: single{child: child}, Keys: keys, KeyNames: keyNames, Aggs: aggs}
-	cols := make([]types.Column, 0, len(keys)+len(aggs))
+	cols := groupKeyCols(keys, keyNames)
+	g.keyTypes = schemaTypes(types.NewSchema(cols...))
+	g.partialTypes = append([]types.Type(nil), g.keyTypes...)
+	for i := range aggs {
+		name := aggs[i].Name
+		if name == "" {
+			name = aggs[i].String()
+		}
+		cols = append(cols, types.Column{Name: name, Typ: aggs[i].ResultType(), Nullable: true})
+		for _, c := range aggs[i].PartialCols() {
+			g.partialTypes = append(g.partialTypes, c.Typ)
+		}
+	}
+	g.schema = types.NewSchema(cols...)
+	return g
+}
+
+// groupKeyCols names and types the key columns of a grouping node.
+func groupKeyCols(keys []expr.Expr, keyNames []string) []types.Column {
+	cols := make([]types.Column, 0, len(keys))
 	for i, k := range keys {
 		name := ""
 		if keyNames != nil {
@@ -75,15 +86,7 @@ func NewGroupBy(child Operator, keys []expr.Expr, keyNames []string, aggs []AggS
 		}
 		cols = append(cols, types.Column{Name: name, Typ: k.Type(), Nullable: true})
 	}
-	for i := range aggs {
-		name := aggs[i].Name
-		if name == "" {
-			name = aggs[i].String()
-		}
-		cols = append(cols, types.Column{Name: name, Typ: aggs[i].ResultType(), Nullable: true})
-	}
-	g.schema = types.NewSchema(cols...)
-	return g
+	return cols
 }
 
 // Schema implements Operator.
@@ -107,20 +110,13 @@ func (g *GroupBy) Describe() string {
 
 // Open implements Operator.
 func (g *GroupBy) Open(ctx *Ctx) error {
-	g.groups = map[uint64][]*groupEntry{}
-	g.memUsed = 0
+	g.st = newGroupState(g.keyTypes, g.Aggs, !g.InputSorted)
 	g.budget = ctx.MemBudget
 	g.extDone = false
 	g.spills = nil
 	g.out = nil
 	g.outPos = 0
-	g.curKey = nil
-	g.curAccs = nil
 	g.opened = false
-	g.rowArity = len(g.Keys)
-	for i := range g.Aggs {
-		g.rowArity += g.Aggs[i].PartialWidth()
-	}
 	return g.openChild(ctx)
 }
 
@@ -130,7 +126,8 @@ func (g *GroupBy) Close(ctx *Ctx) error {
 		s.close()
 	}
 	g.spills = nil
-	g.groups = nil
+	g.st = nil
+	g.out = nil
 	return g.closeChild(ctx)
 }
 
@@ -142,15 +139,19 @@ func (g *GroupBy) next(ctx *Ctx) (*vector.Batch, error) {
 		}
 		g.opened = true
 	}
-	if g.outPos >= len(g.out) {
-		return nil, nil
+	return nextSlice(g.out, &g.outPos), nil
+}
+
+// nextSlice returns the next batch-sized slice of out from *pos on, nil
+// at the end.
+func nextSlice(out *vector.Batch, pos *int) *vector.Batch {
+	if out == nil || *pos >= out.Len() {
+		return nil
 	}
-	batch := vector.NewBatchForSchema(g.schema, vector.DefaultBatchSize)
-	for g.outPos < len(g.out) && batch.Len() < vector.DefaultBatchSize {
-		batch.AppendRow(g.out[g.outPos])
-		g.outPos++
-	}
-	return batch, nil
+	hi := min(*pos+vector.DefaultBatchSize, out.Len())
+	b := out.SliceRows(*pos, hi)
+	*pos = hi
+	return b
 }
 
 func (g *GroupBy) consumeAll(ctx *Ctx) error {
@@ -165,145 +166,96 @@ func (g *GroupBy) consumeAll(ctx *Ctx) error {
 		if in == nil {
 			break
 		}
-		if g.InputSorted {
-			if err := g.consumeSorted(ctx, in); err != nil {
-				return err
-			}
-		} else {
-			if err := g.consumeHash(ctx, in); err != nil {
+		if g.InputSorted && g.tryRLEDirect(in) {
+			continue
+		}
+		n, keys, args, err := groupInputs(in, g.Keys, g.Aggs, g.MergePartials)
+		if err != nil {
+			return err
+		}
+		g.st.add(n, keys, args, g.MergePartials)
+		if !g.InputSorted {
+			if err := g.account(ctx); err != nil {
 				return err
 			}
 		}
 	}
-	if g.InputSorted {
-		g.flushCurrentGroup()
-		return nil
+	if len(g.spills) > 0 {
+		return g.mergeSpills(ctx)
 	}
-	return g.finishHash(ctx)
+	// SQL semantics: a global aggregate (no GROUP BY) over an empty input
+	// still yields one row (COUNT(*) = 0, SUM = NULL, ...).
+	if len(g.Keys) == 0 && len(g.Aggs) > 0 {
+		g.st.grow(1)
+	}
+	g.out = g.st.finalBatch()
+	return nil
 }
 
-// --- hash aggregation ---------------------------------------------------
+// account charges the hash state to the budget: at the threshold it
+// renegotiates the grant and externalizes only on denial. Holistic
+// aggregates (no partial form) cannot spill at all, so for them a granted
+// extension also keeps the accounting honest.
+func (g *GroupBy) account(ctx *Ctx) error {
+	mem := g.st.bytes()
+	ctx.noteAlloc(&g.prof, mem)
+	for mem > g.budget && !g.extDone {
+		if ext := ctx.extendBudget(g.budget, mem); ext > 0 {
+			g.budget += ext
+			continue
+		}
+		if !g.canSpill() {
+			// No spill fallback and the pool said no: the state stays above
+			// budget for the rest of the query, so remember the denial
+			// instead of re-asking (and re-counting) on every batch.
+			g.extDone = true
+			break
+		}
+		return g.spillGroups(ctx)
+	}
+	return nil
+}
 
-func (g *GroupBy) consumeHash(ctx *Ctx, in *vector.Batch) error {
+// groupInputs flattens a batch and returns its row count, its key columns
+// and, per aggregate, its input columns: the argument (none for COUNT(*)),
+// or with merge set the partial columns that follow the keys.
+func groupInputs(in *vector.Batch, keys []expr.Expr, aggs []AggSpec, merge bool) (int, []*vector.Vector, [][]*vector.Vector, error) {
 	if in.Sel != nil {
 		in = in.Flatten()
 	} else {
 		in.ExpandRLE()
 	}
 	n := in.Len()
-	keyVecs, err := g.evalKeys(in)
-	if err != nil {
-		return err
-	}
-	argVecs, err := g.evalArgs(in)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		key := make(types.Row, len(keyVecs))
-		for k, kv := range keyVecs {
-			key[k] = kv.ValueAt(i)
-		}
-		e := g.findOrCreate(key)
-		g.updateEntry(e, argVecs, in, i)
-	}
-	ctx.noteAlloc(&g.prof, g.memUsed)
-	for g.memUsed > g.budget && !g.extDone {
-		// Renegotiate the grant at the spill threshold; externalize only on
-		// denial. Holistic aggregates (no partial form) cannot spill at all,
-		// so for them a granted extension also keeps the accounting honest.
-		if ext := ctx.extendBudget(g.budget, g.memUsed); ext > 0 {
-			g.budget += ext
-			continue
-		}
-		if !g.canSpill() {
-			// No spill fallback and the pool said no: memUsed stays above
-			// budget for the rest of the query, so remember the denial
-			// instead of re-asking (and re-counting) on every batch.
-			g.extDone = true
-			break
-		}
-		if err := g.spillGroups(ctx); err != nil {
-			return err
-		}
-		break
-	}
-	return nil
-}
-
-func (g *GroupBy) evalKeys(in *vector.Batch) ([]*vector.Vector, error) {
-	out := make([]*vector.Vector, len(g.Keys))
-	for i, k := range g.Keys {
-		v, err := k.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (g *GroupBy) evalArgs(in *vector.Batch) ([]*vector.Vector, error) {
-	out := make([]*vector.Vector, len(g.Aggs))
-	for i := range g.Aggs {
-		if g.Aggs[i].Arg == nil || g.MergePartials {
-			continue
-		}
-		v, err := g.Aggs[i].Arg.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (g *GroupBy) findOrCreate(key types.Row) *groupEntry {
-	h := types.HashRow(key, seqIdx(len(key)))
-	for _, e := range g.groups[h] {
-		if e.key.Compare(key, seqIdx(len(key))) == 0 {
-			return e
-		}
-	}
-	e := &groupEntry{key: key, accs: make([]*aggAcc, len(g.Aggs))}
-	for i := range g.Aggs {
-		e.accs[i] = newAggAcc(&g.Aggs[i])
-	}
-	g.groups[h] = append(g.groups[h], e)
-	g.memUsed += int64(len(key))*24 + int64(len(e.accs))*96 + 64
-	return e
-}
-
-// updateEntry folds input row i into the group's accumulators; in merge
-// mode it consumes partial columns instead.
-func (g *GroupBy) updateEntry(e *groupEntry, argVecs []*vector.Vector, in *vector.Batch, i int) {
-	if g.MergePartials {
-		col := len(g.Keys)
-		for a := range g.Aggs {
-			w := g.Aggs[a].PartialWidth()
-			vals := make([]types.Value, w)
-			for j := 0; j < w; j++ {
-				vals[j] = in.Cols[col+j].ValueAt(i)
-			}
-			e.accs[a].mergePartial(vals)
+	kv := make([]*vector.Vector, len(keys))
+	args := make([][]*vector.Vector, len(aggs))
+	if merge {
+		copy(kv, in.Cols)
+		col := len(keys)
+		for a := range aggs {
+			w := aggs[a].PartialWidth()
+			args[a] = in.Cols[col : col+w]
 			col += w
 		}
-		return
+		return n, kv, args, nil
 	}
-	for a := range g.Aggs {
-		if g.Aggs[a].Kind == AggCountStar {
-			e.accs[a].update(types.Value{})
+	for i, k := range keys {
+		v, err := k.Eval(in)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		kv[i] = v.Expand()
+	}
+	for a := range aggs {
+		if aggs[a].Arg == nil {
 			continue
 		}
-		before := int64(0)
-		if e.accs[a].distinct != nil {
-			before = int64(len(e.accs[a].distinct))
+		v, err := aggs[a].Arg.Eval(in)
+		if err != nil {
+			return 0, nil, nil, err
 		}
-		e.accs[a].update(argVecs[a].ValueAt(i))
-		if e.accs[a].distinct != nil {
-			g.memUsed += (int64(len(e.accs[a].distinct)) - before) * 32
-		}
+		args[a] = []*vector.Vector{v.Expand()}
 	}
+	return n, kv, args, nil
 }
 
 func (g *GroupBy) canSpill() bool {
@@ -318,18 +270,13 @@ func (g *GroupBy) canSpill() bool {
 	return true
 }
 
-// spillGroups writes the hash table as a key-sorted partial run and resets.
+// spillGroups writes the groups as a key-sorted partial run and resets.
 func (g *GroupBy) spillGroups(ctx *Ctx) error {
-	entries := g.sortedEntries()
 	w, err := newSpillWriter(spillDir(ctx))
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		row := append(types.Row{}, e.key...)
-		for _, acc := range e.accs {
-			row = append(row, acc.partial()...)
-		}
+	for _, row := range g.st.sortedPartialRows() {
 		if err := w.writeRow(row); err != nil {
 			w.abort()
 			return err
@@ -341,217 +288,74 @@ func (g *GroupBy) spillGroups(ctx *Ctx) error {
 		return err
 	}
 	g.spills = append(g.spills, r)
-	g.groups = map[uint64][]*groupEntry{}
-	g.memUsed = 0
+	g.st = newGroupState(g.keyTypes, g.Aggs, true)
 	ctx.noteSpill(&g.prof, r.bytes, "GROUP_BY_SPILLED")
 	return nil
 }
 
-func (g *GroupBy) sortedEntries() []*groupEntry {
-	var entries []*groupEntry
-	for _, chain := range g.groups {
-		entries = append(entries, chain...)
+// mergeSpills k-way merges the spilled runs with the in-memory groups (one
+// more sorted run) and aggregates the key-sorted partial rows one pass.
+func (g *GroupBy) mergeSpills(ctx *Ctx) error {
+	specs := make([]SortSpec, len(g.Keys))
+	for i := range specs {
+		specs[i] = SortSpec{Col: i}
 	}
-	keyIdx := seqIdx(len(g.Keys))
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].key.Compare(entries[j].key, keyIdx) < 0
-	})
-	return entries
-}
-
-// finishHash merges in-memory groups with any spilled runs and produces the
-// final output rows.
-func (g *GroupBy) finishHash(ctx *Ctx) error {
-	entries := g.sortedEntries()
-	// SQL semantics: a global aggregate (no GROUP BY) over an empty input
-	// still yields one row (COUNT(*) = 0, SUM = NULL, ...).
-	if len(g.Keys) == 0 && len(entries) == 0 && len(g.spills) == 0 && len(g.Aggs) > 0 {
-		e := &groupEntry{accs: make([]*aggAcc, len(g.Aggs))}
-		for i := range g.Aggs {
-			e.accs[i] = newAggAcc(&g.Aggs[i])
-		}
-		g.out = []types.Row{g.finalRow(e)}
-		return nil
-	}
-	if len(g.spills) == 0 {
-		g.out = make([]types.Row, 0, len(entries))
-		for _, e := range entries {
-			g.out = append(g.out, g.finalRow(e))
-		}
-		return nil
-	}
-	// K-way merge: in-memory entries become one more sorted partial run.
-	keyIdx := seqIdx(len(g.Keys))
-	var runs []*partialRun
-	for _, s := range g.spills {
-		r := &partialRun{src: s, arity: g.rowArity}
+	arity := len(g.partialTypes)
+	var runs []*sortedRun
+	add := func(r *sortedRun) error {
 		if err := r.advance(); err != nil {
 			return err
 		}
 		if r.cur != nil {
 			runs = append(runs, r)
 		}
+		return nil
 	}
-	memRun := &partialRun{mem: entriesToPartialRows(entries, g.Aggs), arity: g.rowArity}
-	if err := memRun.advance(); err != nil {
-		return err
-	}
-	if memRun.cur != nil {
-		runs = append(runs, memRun)
-	}
-	h := &partialHeap{runs: runs, keyIdx: keyIdx}
-	heap.Init(h)
-	var curKey types.Row
-	var accs []*aggAcc
-	flush := func() {
-		if curKey == nil {
-			return
-		}
-		e := &groupEntry{key: curKey, accs: accs}
-		g.out = append(g.out, g.finalRow(e))
-	}
-	for h.Len() > 0 {
-		run := h.runs[0]
-		row := run.cur
-		if err := run.advance(); err != nil {
+	for _, s := range g.spills {
+		if err := add(&sortedRun{src: s, arity: arity}); err != nil {
 			return err
 		}
-		if run.cur == nil {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-		key := row[:len(g.Keys)]
-		if curKey == nil || curKey.Compare(key, keyIdx) != 0 {
-			flush()
-			curKey = key.Clone()
-			accs = make([]*aggAcc, len(g.Aggs))
-			for i := range g.Aggs {
-				accs[i] = newAggAcc(&g.Aggs[i])
-			}
-		}
-		col := len(g.Keys)
-		for a := range g.Aggs {
-			w := g.Aggs[a].PartialWidth()
-			accs[a].mergePartial(row[col : col+w])
-			col += w
-		}
 	}
-	flush()
-	return nil
-}
-
-func entriesToPartialRows(entries []*groupEntry, aggs []AggSpec) []types.Row {
-	out := make([]types.Row, 0, len(entries))
-	for _, e := range entries {
-		row := append(types.Row{}, e.key...)
-		for _, acc := range e.accs {
-			row = append(row, acc.partial()...)
-		}
-		out = append(out, row)
+	if err := add(&sortedRun{mem: g.st.sortedPartialRows(), arity: arity}); err != nil {
+		return err
 	}
-	return out
-}
-
-func (g *GroupBy) finalRow(e *groupEntry) types.Row {
-	row := make(types.Row, 0, len(e.key)+len(e.accs))
-	row = append(row, e.key...)
-	for _, acc := range e.accs {
-		row = append(row, acc.final())
+	h := &sortRunHeap{runs: runs, specs: specs}
+	heap.Init(h)
+	g.st = newGroupState(g.keyTypes, g.Aggs, false)
+	batch := newBatchOf(g.partialTypes, vector.DefaultBatchSize)
+	flush := func() {
+		n, keys, args, _ := groupInputs(batch, g.Keys, g.Aggs, true)
+		g.st.add(n, keys, args, true)
+		batch = newBatchOf(g.partialTypes, vector.DefaultBatchSize)
 	}
-	return row
-}
-
-// partialRun iterates one sorted partial run (spilled or in-memory).
-type partialRun struct {
-	src   *spillReader
-	mem   []types.Row
-	pos   int
-	arity int
-	cur   types.Row
-}
-
-func (r *partialRun) advance() error {
-	if r.src != nil {
-		row, err := r.src.readRow(r.arity)
-		if err == io.EOF {
-			r.cur = nil
-			return nil
-		}
+	for h.Len() > 0 {
+		row, err := h.pop()
 		if err != nil {
 			return err
 		}
-		r.cur = row
-		return nil
+		batch.AppendRow(row)
+		if batch.Len() == vector.DefaultBatchSize {
+			if err := ctx.Canceled(); err != nil {
+				return err
+			}
+			flush()
+		}
 	}
-	if r.pos >= len(r.mem) {
-		r.cur = nil
-		return nil
-	}
-	r.cur = r.mem[r.pos]
-	r.pos++
+	flush()
+	g.out = g.st.finalBatch()
 	return nil
 }
 
-type partialHeap struct {
-	runs   []*partialRun
-	keyIdx []int
-}
-
-func (h *partialHeap) Len() int { return len(h.runs) }
-func (h *partialHeap) Less(i, j int) bool {
-	return h.runs[i].cur.Compare(h.runs[j].cur, h.keyIdx) < 0
-}
-func (h *partialHeap) Swap(i, j int)      { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
-func (h *partialHeap) Push(x interface{}) { h.runs = append(h.runs, x.(*partialRun)) }
-func (h *partialHeap) Pop() interface{} {
-	old := h.runs
-	n := len(old)
-	x := old[n-1]
-	h.runs = old[:n-1]
-	return x
+// newBatchOf returns an empty flat batch of the given column types.
+func newBatchOf(typs []types.Type, capacity int) *vector.Batch {
+	cols := make([]*vector.Vector, len(typs))
+	for i, t := range typs {
+		cols[i] = vector.New(t, capacity)
+	}
+	return &vector.Batch{Cols: cols}
 }
 
 // --- one-pass (pipelined) aggregation ------------------------------------
-
-func (g *GroupBy) consumeSorted(ctx *Ctx, in *vector.Batch) error {
-	// RLE-direct fast path: COUNT(*)-only aggregates over run-length keys
-	// never touch individual rows.
-	if g.tryRLEDirect(in) {
-		return nil
-	}
-	if in.Sel != nil {
-		in = in.Flatten()
-	} else {
-		in.ExpandRLE()
-	}
-	keyVecs, err := g.evalKeys(in)
-	if err != nil {
-		return err
-	}
-	argVecs, err := g.evalArgs(in)
-	if err != nil {
-		return err
-	}
-	n := in.Len()
-	keyIdx := seqIdx(len(g.Keys))
-	for i := 0; i < n; i++ {
-		key := make(types.Row, len(keyVecs))
-		for k, kv := range keyVecs {
-			key[k] = kv.ValueAt(i)
-		}
-		if g.curKey == nil || g.curKey.Compare(key, keyIdx) != 0 {
-			g.flushCurrentGroup()
-			g.curKey = key
-			g.curAccs = make([]*aggAcc, len(g.Aggs))
-			for a := range g.Aggs {
-				g.curAccs[a] = newAggAcc(&g.Aggs[a])
-			}
-		}
-		g.updateEntry(&groupEntry{key: g.curKey, accs: g.curAccs}, argVecs, in, i)
-	}
-	return nil
-}
 
 // tryRLEDirect consumes the batch via run-length counts when every key is a
 // direct column reference in RLE form with aligned runs and every aggregate
@@ -578,7 +382,7 @@ func (g *GroupBy) tryRLEDirect(in *vector.Batch) bool {
 		}
 		if runs == nil {
 			runs = v.RunLens
-		} else if !sameRuns(runs, v.RunLens) {
+		} else if !slices.Equal(runs, v.RunLens) {
 			return false
 		}
 		keyCols[i] = v
@@ -586,52 +390,167 @@ func (g *GroupBy) tryRLEDirect(in *vector.Batch) bool {
 	if runs == nil {
 		return false
 	}
-	keyIdx := seqIdx(len(g.Keys))
+	st := g.st
 	for r, n := range runs {
-		key := make(types.Row, len(keyCols))
-		for k, kv := range keyCols {
-			key[k] = kv.ValueAt(r)
-		}
-		if g.curKey == nil || g.curKey.Compare(key, keyIdx) != 0 {
-			g.flushCurrentGroup()
-			g.curKey = key
-			g.curAccs = make([]*aggAcc, len(g.Aggs))
-			for a := range g.Aggs {
-				g.curAccs[a] = newAggAcc(&g.Aggs[a])
-			}
-		}
-		for a := range g.Aggs {
-			g.curAccs[a].updateRun(types.Value{}, int64(n))
+		st.nextSorted(keyCols, r)
+		grp := st.n - 1
+		st.grow(st.n)
+		for _, a := range st.aggs {
+			a.count[grp] += int64(n)
 		}
 	}
 	return true
 }
 
-func sameRuns(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// --- grouping state --------------------------------------------------------
+
+// groupState is the grouping state shared by GroupBy and Prepass: the
+// group keys, indexed by a flat hash table (hash mode) or appended in
+// arrival order (one-pass mode over key-sorted input, and keyless
+// aggregates, which have exactly one group and no table), and one aggCol
+// per aggregate. Groups are numbered 0..n-1 in arrival order.
+type groupState struct {
+	keys   []*vector.Vector // group-indexed key columns
+	table  *hashTable       // nil in one-pass mode and without keys
+	aggs   []*aggCol
+	n      int
+	keyIdx []int
+	ids    []int32 // per row of the current batch: its group
+	// keyStr counts string key payloads appended outside the table.
+	keyStr int64
 }
 
-func (g *GroupBy) flushCurrentGroup() {
-	if g.curKey == nil {
+func newGroupState(keyTypes []types.Type, aggs []AggSpec, hashed bool) *groupState {
+	st := &groupState{keys: make([]*vector.Vector, len(keyTypes)), keyIdx: make([]int, len(keyTypes))}
+	for i, t := range keyTypes {
+		st.keys[i] = vector.New(t, 0)
+		st.keyIdx[i] = i
+	}
+	if hashed && len(keyTypes) > 0 {
+		st.table = newHashTable(st.keys)
+	}
+	for i := range aggs {
+		st.aggs = append(st.aggs, newAggCol(&aggs[i]))
+	}
+	return st
+}
+
+// grow extends every aggregate to n groups.
+func (st *groupState) grow(n int) {
+	st.n = max(st.n, n)
+	for _, a := range st.aggs {
+		a.grow(st.n)
+	}
+}
+
+// add groups and folds a batch's n rows.
+func (st *groupState) add(n int, keys []*vector.Vector, args [][]*vector.Vector, merge bool) {
+	st.fold(0, st.assign(n, keys, 0, 0), args, merge)
+}
+
+// assign sets ids[from:end] to the groups of rows from..end-1 of a batch
+// of n rows, creating groups for new keys, and returns end: n, or with
+// limit > 0 in hash mode the first row whose new group would exceed limit
+// groups.
+func (st *groupState) assign(n int, keys []*vector.Vector, from, limit int) int {
+	if from == 0 {
+		st.ids = extend(st.ids[:0], n)
+	}
+	switch {
+	case len(st.keys) == 0:
+		st.grow(1)
+		clear(st.ids)
+		return n
+	case st.table != nil:
+		hashes := vector.NewBatch(keys...).Hashes(st.keyIdx)
+		end := st.table.findOrInsert(keys, hashes, from, st.ids, limit)
+		st.grow(st.table.len())
+		return end
+	default:
+		for i := from; i < n; i++ {
+			st.nextSorted(keys, i)
+			st.ids[i] = int32(st.n - 1)
+		}
+		st.grow(st.n)
+		return n
+	}
+}
+
+// nextSorted starts a new group for physical entry i of the key columns
+// unless it equals the latest group's key (one-pass mode).
+func (st *groupState) nextSorted(keys []*vector.Vector, i int) {
+	if st.n > 0 && rowsEqual(st.keys, st.n-1, keys, i) {
 		return
 	}
-	g.out = append(g.out, g.finalRow(&groupEntry{key: g.curKey, accs: g.curAccs}))
-	g.curKey, g.curAccs = nil, nil
+	for k, v := range keys {
+		val := v.ValueAt(i)
+		st.keys[k].AppendValue(val)
+		st.keyStr += int64(len(val.S))
+	}
+	st.n++
 }
 
-// seqIdx returns [0, 1, ..., n-1].
-func seqIdx(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// fold folds rows [lo, hi) of the batch into their groups.
+func (st *groupState) fold(lo, hi int, args [][]*vector.Vector, merge bool) {
+	for a, col := range st.aggs {
+		col.fold(st.ids, lo, hi, args[a], merge)
+	}
+}
+
+// bytes is the state's footprint.
+func (st *groupState) bytes() int64 {
+	var n int64
+	if st.table != nil {
+		n = st.table.bytes(true)
+	} else {
+		n = st.keyStr
+		for _, v := range st.keys {
+			n += vecBytes(v)
+		}
+	}
+	for _, a := range st.aggs {
+		n += a.bytes()
+	}
+	return n + int64(cap(st.ids))*4
+}
+
+// finalBatch returns every group: key columns then aggregate results.
+func (st *groupState) finalBatch() *vector.Batch {
+	out := &vector.Batch{Cols: append([]*vector.Vector(nil), st.keys...)}
+	for _, a := range st.aggs {
+		out.Cols = append(out.Cols, a.final(0, st.n))
 	}
 	return out
+}
+
+// partialBatch returns every group: key columns then partial columns.
+func (st *groupState) partialBatch() *vector.Batch {
+	out := &vector.Batch{Cols: append([]*vector.Vector(nil), st.keys...)}
+	for _, a := range st.aggs {
+		out.Cols = append(out.Cols, a.partial(0, st.n)...)
+	}
+	return out
+}
+
+// sortedPartialRows returns the groups as partial rows sorted by key: the
+// spill format.
+func (st *groupState) sortedPartialRows() []types.Row {
+	b := st.partialBatch()
+	perm := make([]int, st.n)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(x, y int) int {
+		for _, k := range st.keys {
+			if c := colCompare(k, x, y); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	rows := make([]types.Row, len(perm))
+	for i, p := range perm {
+		rows[i] = b.Row(p)
+	}
+	return rows
 }

@@ -47,6 +47,13 @@ func (t JoinType) String() string {
 // time, the operator switches to a sort-merge join ("we will perform a
 // sort-merge join instead", paper §6.1). When a SIP filter is attached, the
 // build-side key hashes are published to the probe-side scan.
+//
+// The build side is held column-wise (colBuf) and indexed by the shared
+// flat hashTable, one entry per build row. Probing a batch yields
+// (probe index, build index) selection vectors; the residual, if any, is
+// evaluated once over the candidate pairs gathered into a batch, and the
+// output columns are gathered from the surviving pairs, with NULLs where
+// an outer join pads.
 type HashJoin struct {
 	Type  JoinType
 	outer Operator
@@ -63,20 +70,25 @@ type HashJoin struct {
 	schema    *types.Schema
 	resSchema *types.Schema // outer+inner, for vectorized residual eval
 
-	table        map[uint64][]buildRow
-	matchedInner bool // inner match tracking needed (right/full outer)
-	built        bool
-	spilled      bool
-	merge        *mergeJoinState
-	pending      []types.Row
-	innerDone    bool
-	innerRowsAll []buildRow // for right/full outer emission
-	prof         OpProf
-}
+	build   *colBuf    // the inner rows
+	table   *hashTable // over build's key columns
+	matched []bool     // per build row, for right/full outer emission
+	built   bool
+	spilled bool
+	merge   *MergeJoin // the sort-merge join after a switch
 
-type buildRow struct {
-	row     types.Row
-	matched *bool
+	// probe state: the current outer batch, its key columns and hashes,
+	// the next row to probe, and where in that row's chain to resume.
+	probe     *vector.Batch
+	probeKeys []*vector.Vector
+	hashes    []uint64
+	row       int
+	inRow     bool  // row's chain walk has started
+	cur       int32 // next chain entry of row
+	rowHit    bool  // row has a surviving match
+	pending   []*vector.Batch
+	innerDone bool
+	prof      OpProf
 }
 
 // NewHashJoin builds a hash join; outer is the probe side, inner the build
@@ -99,20 +111,14 @@ func combinedSchema(outer, inner *types.Schema) *types.Schema {
 	return types.NewSchema(cols...)
 }
 
-// residualMask evaluates a residual predicate once, vectorized, over a
-// batch assembled from candidate combined rows, returning the keep mask —
-// the batch-native replacement for per-row EvalRow on the join hot path.
-func residualMask(res expr.Expr, schema *types.Schema, rows []types.Row) ([]bool, error) {
-	b := vector.NewBatchForSchema(schema, len(rows))
-	for _, r := range rows {
-		b.AppendRow(r)
-	}
-	v, err := res.Eval(b)
+// evalMask evaluates a predicate over a batch: true where it holds.
+func evalMask(pred expr.Expr, b *vector.Batch) ([]bool, error) {
+	v, err := pred.Eval(b)
 	if err != nil {
 		return nil, err
 	}
 	v = v.Expand()
-	mask := make([]bool, len(rows))
+	mask := make([]bool, b.Len())
 	for i := range mask {
 		mask[i] = !v.NullAt(i) && v.ValueAt(i).Bool()
 	}
@@ -153,12 +159,11 @@ func (j *HashJoin) Describe() string {
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Ctx) error {
-	j.table = nil
+	j.build, j.table, j.matched = nil, nil, nil
 	j.built, j.spilled, j.innerDone = false, false, false
-	j.pending = nil
-	j.innerRowsAll = nil
 	j.merge = nil
-	j.matchedInner = j.Type == RightOuterJoin || j.Type == FullOuterJoin
+	j.probe, j.row, j.inRow, j.rowHit = nil, 0, false, false
+	j.pending = nil
 	if err := j.outer.Open(ctx); err != nil {
 		return err
 	}
@@ -168,7 +173,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Ctx) error {
 	if j.merge != nil {
-		j.merge.close()
+		j.merge.Close(ctx) // removes the sorted runs
 	}
 	if err := j.outer.Close(ctx); err != nil {
 		j.inner.Close(ctx)
@@ -177,12 +182,21 @@ func (j *HashJoin) Close(ctx *Ctx) error {
 	return j.inner.Close(ctx)
 }
 
-// build drains the inner input into the hash table, renegotiating the grant
-// at the budget threshold and switching to sort-merge when the governor
-// denies the extension.
-func (j *HashJoin) build(ctx *Ctx) error {
-	j.table = map[uint64][]buildRow{}
-	var mem int64
+// memBytes is the build side's footprint.
+func (j *HashJoin) memBytes() int64 {
+	return j.build.bytes() + j.table.bytes(false) + int64(cap(j.matched))
+}
+
+// buildTable drains the inner input into the hash table, renegotiating the
+// grant at the budget threshold and switching to sort-merge when the
+// governor denies the extension.
+func (j *HashJoin) buildTable(ctx *Ctx) error {
+	j.build = newColBuf(schemaTypes(j.inner.Schema()))
+	keys := make([]*vector.Vector, len(j.InnerKeys))
+	for i, k := range j.InnerKeys {
+		keys[i] = j.build.cols[k]
+	}
+	j.table = newHashTable(keys)
 	budget := ctx.MemBudget
 	for {
 		if err := ctx.Canceled(); err != nil {
@@ -195,18 +209,10 @@ func (j *HashJoin) build(ctx *Ctx) error {
 		if in == nil {
 			break
 		}
-		for _, r := range in.Rows() {
-			h := HashKeyOfRow(r, j.InnerKeys)
-			br := buildRow{row: r}
-			if j.matchedInner {
-				br.matched = new(bool)
-			}
-			j.table[h] = append(j.table[h], br)
-			if j.matchedInner {
-				j.innerRowsAll = append(j.innerRowsAll, br)
-			}
-			mem += rowMemBytes(r) + 32
-		}
+		hashes := in.Hashes(j.InnerKeys)
+		j.build.appendBatch(in)
+		j.table.addLinked(hashes)
+		mem := j.memBytes()
 		ctx.noteAlloc(&j.prof, mem)
 		for mem > budget {
 			// Ask for more memory before abandoning the hash table: the
@@ -224,9 +230,12 @@ func (j *HashJoin) build(ctx *Ctx) error {
 		}
 	}
 	j.built = true
+	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
+		j.matched = make([]bool, j.build.len())
+	}
 	if j.SIP != nil {
-		keys := make(map[uint64]bool, len(j.table))
-		for h := range j.table {
+		keys := make(map[uint64]bool, j.table.len())
+		for _, h := range j.table.hashes {
 			keys[h] = true
 		}
 		j.SIP.Publish(keys)
@@ -237,266 +246,233 @@ func (j *HashJoin) build(ctx *Ctx) error {
 // next is the operator body behind the profiled Next (profile.go).
 func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 	if !j.built && j.merge == nil {
-		if err := j.build(ctx); err != nil {
+		if err := j.buildTable(ctx); err != nil {
 			return nil, err
 		}
 	}
 	if j.merge != nil {
-		return j.merge.next(ctx, j)
+		return j.merge.next(ctx)
 	}
 	for {
 		if len(j.pending) > 0 {
-			return j.drainPending(), nil
+			b := j.pending[0]
+			j.pending = j.pending[1:]
+			return b, nil
+		}
+		if j.probe != nil && j.row < j.probe.Len() {
+			if err := j.probeChunk(); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		out, err := j.outer.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if out == nil {
-			// Emit unmatched inner rows for right/full outer joins.
-			if j.matchedInner && !j.innerDone {
+			if j.matched != nil && !j.innerDone {
 				j.innerDone = true
-				outerWidth := j.outer.Schema().Len()
-				for _, br := range j.innerRowsAll {
-					if !*br.matched {
-						j.pending = append(j.pending, padLeft(br.row, outerWidth))
-					}
-				}
+				j.emitUnmatchedInner()
 				continue
 			}
 			return nil, nil
 		}
-		if err := j.probeBatch(out.Rows()); err != nil {
-			return nil, err
-		}
+		j.startProbe(out)
 	}
 }
 
-// probeBatch probes one outer batch against the hash table: candidate pairs
-// are gathered first, the residual (if any) is evaluated once, vectorized,
-// over the whole candidate batch, and match bookkeeping applies to the
-// survivors. Semi/anti joins need only one decision per outer row, so with
-// a residual they take the chunked early-exit path instead of gathering
-// every duplicate build row.
-func (j *HashJoin) probeBatch(rows []types.Row) error {
-	if j.Residual != nil && (j.Type == SemiJoin || j.Type == AntiJoin) {
-		for _, or := range rows {
-			if err := j.probeSemiAntiResidual(or); err != nil {
-				return err
-			}
-		}
-		return nil
+// startProbe makes b the batch being probed.
+func (j *HashJoin) startProbe(b *vector.Batch) {
+	if b.Sel != nil {
+		b = b.Flatten()
+	} else {
+		b.ExpandRLE()
 	}
-	var cands []types.Row // combined candidate rows, batch-evaluated below
-	var brs []buildRow
-	spans := make([][2]int, len(rows)) // per outer row: [start, end) in cands
-	for i, or := range rows {
-		start := len(cands)
-		// SQL semantics: NULL keys never match, so they gather no candidates.
-		nullKey := false
-		for _, k := range j.OuterKeys {
-			if or[k].Null {
-				nullKey = true
-				break
+	j.probe = b
+	j.hashes = b.Hashes(j.OuterKeys)
+	j.probeKeys = j.probeKeys[:0]
+	for _, k := range j.OuterKeys {
+		j.probeKeys = append(j.probeKeys, b.Cols[k])
+	}
+	j.row, j.inRow, j.rowHit = 0, false, false
+}
+
+// joinChunk bounds the candidate pairs gathered per step: enough to
+// amortize the vectorized residual, small enough that a skewed chain of a
+// million duplicates never materializes at once.
+const joinChunk = vector.DefaultBatchSize
+
+// probeStep is one probe event: a candidate pair (probe row, build row),
+// or with build < 0 the end of the probe row's candidates.
+type probeStep struct{ probe, build int }
+
+// probeChunk walks the hash chains of the current probe batch until it has
+// gathered joinChunk candidate pairs (or the batch ends), applies the
+// residual to them, and queues the output they produce. A chain walk
+// interrupted by the chunk limit resumes on the next call.
+func (j *HashJoin) probeChunk() error {
+	semiAnti := j.Type == SemiJoin || j.Type == AntiJoin
+	// Residual-free semi/anti joins are decided by the first key match.
+	oneEnough := j.Residual == nil && semiAnti
+	var steps []probeStep
+	var candP, candB []int
+	n := j.probe.Len()
+	for j.row < n && len(candP) < joinChunk {
+		i := j.row
+		if !j.inRow {
+			j.inRow = true
+			j.cur = -1
+			if !j.nullKey(i) { // SQL semantics: NULL keys never match
+				j.cur = j.table.first(j.hashes[i])
 			}
 		}
-		if !nullKey {
-			// Residual-free semi/anti joins are decided by the first key
-			// match: stop gathering there instead of materializing every
-			// duplicate build row.
-			oneEnough := j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin)
-			h := HashKeyOfRow(or, j.OuterKeys)
-			for _, br := range j.table[h] {
-				if keysEqual(or, br.row, j.OuterKeys, j.InnerKeys) {
-					cands = append(cands, append(append(types.Row{}, or...), br.row...))
-					brs = append(brs, br)
-					if oneEnough {
-						break
-					}
+		for j.cur >= 0 && len(candP) < joinChunk {
+			e := j.cur
+			j.cur = j.table.next[e]
+			if j.table.matches(e, j.hashes[i], j.probeKeys, i) {
+				steps = append(steps, probeStep{i, int(e)})
+				candP, candB = append(candP, i), append(candB, int(e))
+				if oneEnough {
+					j.cur = -1
 				}
 			}
 		}
-		spans[i] = [2]int{start, len(cands)}
+		if j.cur < 0 {
+			steps = append(steps, probeStep{i, -1})
+			j.row++
+			j.inRow = false
+		}
 	}
-	var mask []bool
-	if j.Residual != nil && len(cands) > 0 {
+	var keep []bool
+	if j.Residual != nil && len(candP) > 0 {
 		var err error
-		if mask, err = residualMask(j.Residual, j.resSchema, cands); err != nil {
+		if keep, err = evalMask(j.Residual, j.gather(candP, candB, true)); err != nil {
 			return err
 		}
 	}
-	for i, or := range rows {
-		matched := false
-		for c := spans[i][0]; c < spans[i][1]; c++ {
-			if mask != nil && !mask[c] {
-				continue
+	var outP, outB []int
+	c := 0
+	for _, st := range steps {
+		if st.build < 0 {
+			if !j.rowHit {
+				switch j.Type {
+				case LeftOuterJoin, FullOuterJoin:
+					outP, outB = append(outP, st.probe), append(outB, -1)
+				case AntiJoin:
+					outP = append(outP, st.probe)
+				}
 			}
-			matched = true
-			if brs[c].matched != nil {
-				*brs[c].matched = true
-			}
-			switch j.Type {
-			case SemiJoin:
-				j.pending = append(j.pending, or.Clone())
-			case AntiJoin:
-			default:
-				j.pending = append(j.pending, cands[c])
-			}
-			if j.Type == SemiJoin || j.Type == AntiJoin {
-				break // one decision per outer row
-			}
-		}
-		if !matched {
-			j.emitUnmatchedOuter(or)
-		}
-	}
-	return nil
-}
-
-// semiResidualChunk bounds how many duplicate-key candidates a semi/anti
-// probe materializes per residual evaluation: enough to amortize the
-// vectorized Eval, small enough that a skewed 1M-duplicate chain whose
-// first candidate passes never blows up memory.
-const semiResidualChunk = 256
-
-// probeSemiAntiResidual decides one outer row for a semi/anti join with a
-// residual: key-matching candidates are gathered and residual-evaluated in
-// chunks (vectorized), stopping at the first survivor — one decision per
-// outer row, like the serial per-row path, without per-row EvalRow.
-func (j *HashJoin) probeSemiAntiResidual(or types.Row) error {
-	for _, k := range j.OuterKeys {
-		if or[k].Null {
-			j.emitUnmatchedOuter(or)
-			return nil
-		}
-	}
-	var cands []types.Row
-	flush := func() (bool, error) {
-		if len(cands) == 0 {
-			return false, nil
-		}
-		mask, err := residualMask(j.Residual, j.resSchema, cands)
-		cands = cands[:0]
-		if err != nil {
-			return false, err
-		}
-		for _, ok := range mask {
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	matched := false
-	h := HashKeyOfRow(or, j.OuterKeys)
-	for _, br := range j.table[h] {
-		if !keysEqual(or, br.row, j.OuterKeys, j.InnerKeys) {
+			j.rowHit = false
 			continue
 		}
-		cands = append(cands, append(append(types.Row{}, or...), br.row...))
-		if len(cands) >= semiResidualChunk {
-			var err error
-			if matched, err = flush(); err != nil {
-				return err
-			}
-			if matched {
-				break
-			}
+		ok := keep == nil || keep[c]
+		c++
+		if !ok || (semiAnti && j.rowHit) {
+			continue
+		}
+		j.rowHit = true
+		if j.matched != nil {
+			j.matched[st.build] = true
+		}
+		switch j.Type {
+		case SemiJoin:
+			outP = append(outP, st.probe)
+		case AntiJoin:
+		default:
+			outP, outB = append(outP, st.probe), append(outB, st.build)
 		}
 	}
-	if !matched {
-		var err error
-		if matched, err = flush(); err != nil {
-			return err
-		}
+	if semiAnti && j.inRow && j.rowHit {
+		j.cur = -1 // the row in progress is decided: skip its other candidates
 	}
-	if matched {
-		if j.Type == SemiJoin {
-			j.pending = append(j.pending, or.Clone())
-		}
-		return nil
+	if len(outP) > 0 {
+		j.pending = append(j.pending, j.gather(outP, outB, !semiAnti))
 	}
-	j.emitUnmatchedOuter(or)
 	return nil
 }
 
-func (j *HashJoin) emitUnmatchedOuter(or types.Row) {
-	switch j.Type {
-	case LeftOuterJoin, FullOuterJoin:
-		j.pending = append(j.pending, padRight(or, j.inner.Schema()))
-	case AntiJoin:
-		j.pending = append(j.pending, or.Clone())
-	}
-}
-
-func keysEqual(a, b types.Row, ak, bk []int) bool {
-	for i := range ak {
-		av, bv := a[ak[i]], b[bk[i]]
-		if av.Null || bv.Null {
-			return false
-		}
-		if av.Compare(bv) != 0 {
-			return false
+// nullKey reports whether probe row i has a NULL key.
+func (j *HashJoin) nullKey(i int) bool {
+	for _, k := range j.probeKeys {
+		if k.NullAt(i) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
-func padRight(outer types.Row, inner *types.Schema) types.Row {
-	row := append(types.Row{}, outer...)
-	for _, c := range inner.Cols {
-		row = append(row, types.NewNull(c.Typ))
+// gather builds a batch from the probe rows in probe and, with inner set,
+// the build rows in build (a NULL row where build < 0).
+func (j *HashJoin) gather(probe, build []int, inner bool) *vector.Batch {
+	cols := make([]*vector.Vector, 0, len(j.resSchema.Cols))
+	for _, v := range j.probe.Cols {
+		g := vector.New(v.Typ, len(probe))
+		g.AppendFrom(v, probe)
+		cols = append(cols, g)
 	}
-	return row
+	if inner {
+		for _, v := range j.build.cols {
+			cols = append(cols, gatherOrNull(v, build))
+		}
+	}
+	return &vector.Batch{Cols: cols}
 }
 
-func padLeft(inner types.Row, outerWidth int) types.Row {
-	row := make(types.Row, 0, outerWidth+len(inner))
-	for i := 0; i < outerWidth; i++ {
-		row = append(row, types.Value{Typ: types.Int64, Null: true})
+// gatherOrNull returns src's rows at idx, a NULL for each negative index.
+func gatherOrNull(src *vector.Vector, idx []int) *vector.Vector {
+	out := vector.New(src.Typ, len(idx))
+	start := 0
+	for k, r := range idx {
+		if r < 0 {
+			if k > start {
+				out.AppendFrom(src, idx[start:k])
+			}
+			out.AppendNull()
+			start = k + 1
+		}
 	}
-	return append(row, inner...)
+	if start < len(idx) {
+		out.AppendFrom(src, idx[start:])
+	}
+	return out
 }
 
-func (j *HashJoin) drainPending() *vector.Batch {
-	batch := vector.NewBatchForSchema(j.schema, len(j.pending))
-	n := len(j.pending)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
+// emitUnmatchedInner queues the build rows no probe row matched, padded
+// with NULL outer columns (right/full outer joins).
+func (j *HashJoin) emitUnmatchedInner() {
+	var rows []int
+	for r, hit := range j.matched {
+		if !hit {
+			rows = append(rows, r)
+		}
 	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(j.pending[i])
+	for lo := 0; lo < len(rows); lo += vector.DefaultBatchSize {
+		sel := rows[lo:min(lo+vector.DefaultBatchSize, len(rows))]
+		b := &vector.Batch{}
+		for _, c := range j.outer.Schema().Cols {
+			v := vector.New(c.Typ, len(sel))
+			for range sel {
+				v.AppendNull()
+			}
+			b.Cols = append(b.Cols, v)
+		}
+		for _, v := range j.build.cols {
+			g := vector.New(v.Typ, len(sel))
+			g.AppendFrom(v, sel)
+			b.Cols = append(b.Cols, g)
+		}
+		j.pending = append(j.pending, b)
 	}
-	j.pending = j.pending[n:]
-	return batch
 }
 
 // --- runtime switch to sort-merge ----------------------------------------
 
-// mergeJoinState performs the sort-merge join after a budget-triggered
-// switch: both sides are externally sorted by their keys, then merged.
-type mergeJoinState struct {
-	outerIt, innerIt rowIter
-	outerSorter      *externalSorter
-	innerSorter      *externalSorter
-	done             bool
-	pendingRows      []types.Row
-
-	curOuter  types.Row
-	innerBuf  []types.Row // current inner key group
-	innerNext types.Row
-}
-
-func (m *mergeJoinState) close() {
-	if m.outerSorter != nil {
-		m.outerSorter.closeRuns()
-	}
-	if m.innerSorter != nil {
-		m.innerSorter.closeRuns()
-	}
-}
-
+// switchToSortMerge abandons the hash table: both sides are externally
+// sorted by their keys and joined by a MergeJoin over the sorted streams.
 func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
+	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
+		return fmt.Errorf("exec: %s hash join exceeded its memory budget and cannot switch to sort-merge", j.Type)
+	}
 	j.spilled = true
 	ctx.Spills.Add(1)
 	j.prof.Spills.Add(1)
@@ -509,179 +485,45 @@ func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
 		}
 		return out
 	}
-	m := &mergeJoinState{}
 	// The inner sorter takes over the hash table's rows and its (possibly
 	// extended) budget — those bytes are granted to this query and free now
 	// that the table is abandoned. The outer sorter starts fresh at the
 	// operator budget and renegotiates on its own.
-	m.innerSorter = newExternalSorter(ctx, specsOf(j.InnerKeys), j.inner.Schema().Len())
-	m.innerSorter.prof = &j.prof
-	if budget > m.innerSorter.budget {
-		m.innerSorter.budget = budget
-	}
-	// Rows already in the abandoned hash table move to the sorter.
-	for _, chain := range j.table {
-		for _, br := range chain {
-			if err := m.innerSorter.add(br.row); err != nil {
-				return err
-			}
-		}
-	}
-	j.table = nil
-	j.innerRowsAll = nil
-	for {
-		in, err := j.inner.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			break
-		}
-		for _, r := range in.Rows() {
-			if err := m.innerSorter.add(r); err != nil {
-				return err
-			}
-		}
-	}
-	m.outerSorter = newExternalSorter(ctx, specsOf(j.OuterKeys), j.outer.Schema().Len())
-	m.outerSorter.prof = &j.prof
-	for {
-		in, err := j.outer.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			break
-		}
-		for _, r := range in.Rows() {
-			if err := m.outerSorter.add(r); err != nil {
-				return err
-			}
-		}
-	}
-	var err error
-	if m.innerIt, err = m.innerSorter.finish(); err != nil {
+	innerS := newSorter(ctx, &j.prof, specsOf(j.InnerKeys), j.inner.Schema())
+	innerS.budget = max(innerS.budget, budget)
+	outerS := newSorter(ctx, &j.prof, specsOf(j.OuterKeys), j.outer.Schema())
+	inner := &sortedInput{s: innerS, schema: j.inner.Schema()}
+	outer := &sortedInput{s: outerS, schema: j.outer.Schema()}
+	mj, err := NewMergeJoin(j.Type, outer, inner, j.OuterKeys, j.InnerKeys)
+	if err != nil {
 		return err
 	}
-	if m.outerIt, err = m.outerSorter.finish(); err != nil {
+	mj.Residual = j.Residual
+	j.merge = mj // from here on Close removes the sorters' runs
+	built := j.build.batch(0, j.build.len())
+	j.build, j.table = nil, nil
+	if err := innerS.add(built); err != nil {
 		return err
 	}
-	if m.innerNext, err = m.innerIt.next(); err != nil {
-		return err
-	}
-	j.merge = m
-	return nil
-}
-
-// next produces merge-join output batches. The switch path supports the
-// inner, left-outer, semi and anti flavors (right/full switch back is not
-// required by the planner, which puts the smaller input on the build side).
-func (m *mergeJoinState) next(ctx *Ctx, j *HashJoin) (*vector.Batch, error) {
-	for len(m.pendingRows) == 0 && !m.done {
-		or, err := m.outerIt.next()
-		if err != nil {
-			return nil, err
-		}
-		if or == nil {
-			m.done = true
-			break
-		}
-		// Advance the inner group until innerKey >= outerKey.
-		cmp := func(inner types.Row) int {
-			for i := range j.OuterKeys {
-				ov, iv := or[j.OuterKeys[i]], inner[j.InnerKeys[i]]
-				c := iv.Compare(ov)
-				if c != 0 {
-					return c
-				}
+	for _, side := range []struct {
+		op Operator
+		s  *sorter
+	}{{j.inner, innerS}, {j.outer, outerS}} {
+		for {
+			in, err := side.op.Next(ctx)
+			if err != nil {
+				return err
 			}
-			return 0
-		}
-		nullKey := false
-		for _, k := range j.OuterKeys {
-			if or[k].Null {
-				nullKey = true
+			if in == nil {
 				break
 			}
-		}
-		if !nullKey {
-			// Load the matching inner group.
-			if len(m.innerBuf) == 0 || cmp(m.innerBuf[0]) != 0 {
-				m.innerBuf = m.innerBuf[:0]
-				for m.innerNext != nil && cmp(m.innerNext) < 0 {
-					if m.innerNext, err = m.innerIt.next(); err != nil {
-						return nil, err
-					}
-				}
-				for m.innerNext != nil && cmp(m.innerNext) == 0 {
-					m.innerBuf = append(m.innerBuf, m.innerNext)
-					if m.innerNext, err = m.innerIt.next(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		} else {
-			m.innerBuf = m.innerBuf[:0]
-		}
-		matched := false
-		if !nullKey && len(m.innerBuf) > 0 &&
-			j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin) {
-			// Residual-free semi/anti: any row in the key-equal group
-			// decides the outer row — no combined rows to materialize.
-			matched = true
-			if j.Type == SemiJoin {
-				m.pendingRows = append(m.pendingRows, or.Clone())
-			}
-		} else if !nullKey && len(m.innerBuf) > 0 {
-			// Vectorized residual: one Eval over the group's combined batch.
-			cands := make([]types.Row, len(m.innerBuf))
-			for c, ir := range m.innerBuf {
-				cands[c] = append(append(types.Row{}, or...), ir...)
-			}
-			var mask []bool
-			if j.Residual != nil {
-				if mask, err = residualMask(j.Residual, j.resSchema, cands); err != nil {
-					return nil, err
-				}
-			}
-			for c := range cands {
-				if mask != nil && !mask[c] {
-					continue
-				}
-				matched = true
-				switch j.Type {
-				case SemiJoin:
-					m.pendingRows = append(m.pendingRows, or.Clone())
-				case AntiJoin:
-					// matched anti rows produce nothing
-				default:
-					m.pendingRows = append(m.pendingRows, cands[c])
-				}
-				if j.Type == SemiJoin {
-					break
-				}
+			if err := side.s.add(in); err != nil {
+				return err
 			}
 		}
-		if !matched {
-			switch j.Type {
-			case LeftOuterJoin, FullOuterJoin:
-				m.pendingRows = append(m.pendingRows, padRight(or, j.inner.Schema()))
-			case AntiJoin:
-				m.pendingRows = append(m.pendingRows, or.Clone())
-			}
+		if err := side.s.finish(); err != nil {
+			return err
 		}
 	}
-	if len(m.pendingRows) == 0 {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(j.schema, len(m.pendingRows))
-	n := len(m.pendingRows)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
-	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(m.pendingRows[i])
-	}
-	m.pendingRows = m.pendingRows[n:]
-	return batch, nil
+	return mj.Open(ctx)
 }

@@ -236,3 +236,22 @@ func (j *MergeJoin) joinOne(ctx *Ctx, or types.Row) error {
 	}
 	return nil
 }
+
+// residualMask evaluates a residual predicate once, vectorized, over a
+// batch assembled from candidate combined rows (the merge join's key
+// group), returning the keep mask.
+func residualMask(res expr.Expr, schema *types.Schema, rows []types.Row) ([]bool, error) {
+	b := vector.NewBatchForSchema(schema, len(rows))
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	return evalMask(res, b)
+}
+
+func padRight(outer types.Row, inner *types.Schema) types.Row {
+	row := append(types.Row{}, outer...)
+	for _, c := range inner.Cols {
+		row = append(row, types.NewNull(c.Typ))
+	}
+	return row
+}

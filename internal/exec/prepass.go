@@ -28,19 +28,18 @@ type Prepass struct {
 	MaxGroups int
 
 	schema   *types.Schema
-	groups   map[uint64][]*groupEntry
-	nGroups  int
+	keyTypes []types.Type
+	st       *groupState
 	inRows   int64
 	outRows  int64
 	bypassed bool
-	pending  []types.Row
+	pending  []*vector.Batch
 	done     bool
 	prof     OpProf
 }
 
-// DefaultPrepassGroups approximates a cache-sized table. The paper says
-// "L1 cache sized"; Go's map entries are several times larger than a tuned
-// C++ open-addressing slot, so the equivalent entry count targets L2.
+// DefaultPrepassGroups sizes the prepass table: 4096 groups keep a few
+// int64 keys, their hashes and chains, and the accumulators within L2.
 const DefaultPrepassGroups = 4096
 
 // NewPrepass builds a prepass partial-aggregation node.
@@ -54,17 +53,8 @@ func NewPrepass(child Operator, keys []expr.Expr, keyNames []string, aggs []AggS
 		single: single{child: child}, Keys: keys, KeyNames: keyNames,
 		Aggs: aggs, MaxGroups: DefaultPrepassGroups,
 	}
-	cols := make([]types.Column, 0, len(keys)+len(aggs)*2)
-	for i, k := range keys {
-		name := ""
-		if keyNames != nil {
-			name = keyNames[i]
-		}
-		if name == "" {
-			name = k.String()
-		}
-		cols = append(cols, types.Column{Name: name, Typ: k.Type(), Nullable: true})
-	}
+	cols := groupKeyCols(keys, keyNames)
+	p.keyTypes = schemaTypes(types.NewSchema(cols...))
 	for i := range aggs {
 		cols = append(cols, aggs[i].PartialCols()...)
 	}
@@ -82,8 +72,8 @@ func (p *Prepass) Describe() string {
 
 // Open implements Operator.
 func (p *Prepass) Open(ctx *Ctx) error {
-	p.groups = map[uint64][]*groupEntry{}
-	p.nGroups, p.inRows, p.outRows = 0, 0, 0
+	p.st = newGroupState(p.keyTypes, p.Aggs, true)
+	p.inRows, p.outRows = 0, 0
 	p.bypassed, p.done = false, false
 	p.pending = nil
 	return p.openChild(ctx)
@@ -96,7 +86,9 @@ func (p *Prepass) Close(ctx *Ctx) error { return p.closeChild(ctx) }
 func (p *Prepass) next(ctx *Ctx) (*vector.Batch, error) {
 	for {
 		if len(p.pending) > 0 {
-			return p.drainPending(), nil
+			b := p.pending[0]
+			p.pending = p.pending[1:]
+			return b, nil
 		}
 		if p.done {
 			return nil, nil
@@ -117,68 +109,23 @@ func (p *Prepass) next(ctx *Ctx) (*vector.Batch, error) {
 }
 
 func (p *Prepass) consume(ctx *Ctx, in *vector.Batch) error {
-	if in.Sel != nil {
-		in = in.Flatten()
-	} else {
-		in.ExpandRLE()
+	n, keys, args, err := groupInputs(in, p.Keys, p.Aggs, false)
+	if err != nil {
+		return err
 	}
-	n := in.Len()
 	p.inRows += int64(n)
 	if p.bypassed {
-		// Not reducing rows: convert each row to a trivial partial.
-		return p.bypassBatch(in)
+		// Not reducing rows: pass each row through as a trivial partial.
+		p.emit(trivialPartials(n, keys, args, p.Aggs))
+		return nil
 	}
-	keyVecs := make([]*vector.Vector, len(p.Keys))
-	for i, k := range p.Keys {
-		v, err := k.Eval(in)
-		if err != nil {
-			return err
+	for from := 0; from < n; {
+		end := p.st.assign(n, keys, from, p.MaxGroups)
+		p.st.fold(from, end, args, false)
+		if end < n {
+			p.flushTable() // the table is full: emit it and start afresh
 		}
-		keyVecs[i] = v
-	}
-	argVecs := make([]*vector.Vector, len(p.Aggs))
-	for i := range p.Aggs {
-		if p.Aggs[i].Arg == nil {
-			continue
-		}
-		v, err := p.Aggs[i].Arg.Eval(in)
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
-	}
-	keyIdx := seqIdx(len(p.Keys))
-	for i := 0; i < n; i++ {
-		key := make(types.Row, len(keyVecs))
-		for k, kv := range keyVecs {
-			key[k] = kv.ValueAt(i)
-		}
-		h := types.HashRow(key, keyIdx)
-		var e *groupEntry
-		for _, c := range p.groups[h] {
-			if c.key.Compare(key, keyIdx) == 0 {
-				e = c
-				break
-			}
-		}
-		if e == nil {
-			if p.nGroups >= p.MaxGroups {
-				p.flushTable()
-			}
-			e = &groupEntry{key: key, accs: make([]*aggAcc, len(p.Aggs))}
-			for a := range p.Aggs {
-				e.accs[a] = newAggAcc(&p.Aggs[a])
-			}
-			p.groups[h] = append(p.groups[h], e)
-			p.nGroups++
-		}
-		for a := range p.Aggs {
-			if p.Aggs[a].Kind == AggCountStar {
-				e.accs[a].update(types.Value{})
-			} else {
-				e.accs[a].update(argVecs[a].ValueAt(i))
-			}
-		}
+		from = end
 	}
 	// Adaptivity: if after a meaningful sample the prepass is reducing rows
 	// by less than ~1.5x, its per-row cost is not paying off — stop
@@ -193,73 +140,61 @@ func (p *Prepass) consume(ctx *Ctx, in *vector.Batch) error {
 	return nil
 }
 
-// bypassBatch emits one trivial partial row per input row.
-func (p *Prepass) bypassBatch(in *vector.Batch) error {
-	keyVecs := make([]*vector.Vector, len(p.Keys))
-	for i, k := range p.Keys {
-		v, err := k.Eval(in)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
-	}
-	argVecs := make([]*vector.Vector, len(p.Aggs))
-	for i := range p.Aggs {
-		if p.Aggs[i].Arg == nil {
-			continue
-		}
-		v, err := p.Aggs[i].Arg.Eval(in)
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
-	}
-	n := in.Len()
-	for i := 0; i < n; i++ {
-		row := make(types.Row, 0, p.schema.Len())
-		for _, kv := range keyVecs {
-			row = append(row, kv.ValueAt(i))
-		}
-		for a := range p.Aggs {
-			acc := newAggAcc(&p.Aggs[a])
-			if p.Aggs[a].Kind == AggCountStar {
-				acc.update(types.Value{})
-			} else {
-				acc.update(argVecs[a].ValueAt(i))
+// trivialPartials converts n input rows to one partial row each, column
+// at a time: every row is its own group.
+func trivialPartials(n int, keys []*vector.Vector, args [][]*vector.Vector, aggs []AggSpec) *vector.Batch {
+	out := &vector.Batch{Cols: append([]*vector.Vector(nil), keys...)}
+	counts := func(arg *vector.Vector) *vector.Vector {
+		c := make([]int64, n)
+		for i := range c {
+			if arg == nil || !arg.NullAt(i) {
+				c[i] = 1
 			}
-			row = append(row, acc.partial()...)
 		}
-		p.pending = append(p.pending, row)
-		p.outRows++
+		return vector.NewFromInts(types.Int64, c)
 	}
-	return nil
+	for a := range aggs {
+		var arg *vector.Vector
+		if len(args[a]) > 0 {
+			arg = args[a][0]
+		}
+		switch aggs[a].Kind {
+		case AggCountStar, AggCount:
+			out.Cols = append(out.Cols, counts(arg))
+		case AggAvg:
+			sum := arg
+			if arg.Typ != types.Float64 {
+				f := make([]float64, n)
+				for i := range f {
+					f[i] = float64(arg.Ints[i])
+				}
+				sum = &vector.Vector{Typ: types.Float64, Floats: f, Nulls: arg.Nulls}
+			}
+			out.Cols = append(out.Cols, sum, counts(arg))
+		default: // SUM, MIN, MAX of one value is the value
+			out.Cols = append(out.Cols, arg)
+		}
+	}
+	return out
 }
 
+// flushTable emits the table's groups as partial rows and clears it.
 func (p *Prepass) flushTable() {
-	for _, chain := range p.groups {
-		for _, e := range chain {
-			row := make(types.Row, 0, p.schema.Len())
-			row = append(row, e.key...)
-			for _, acc := range e.accs {
-				row = append(row, acc.partial()...)
-			}
-			p.pending = append(p.pending, row)
-			p.outRows++
-		}
+	if p.st.n == 0 {
+		return
 	}
-	p.groups = map[uint64][]*groupEntry{}
-	p.nGroups = 0
+	p.emit(p.st.partialBatch())
+	p.st = newGroupState(p.keyTypes, p.Aggs, true)
 }
 
-func (p *Prepass) drainPending() *vector.Batch {
-	batch := vector.NewBatchForSchema(p.schema, len(p.pending))
-	n := len(p.pending)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
+// emit queues partial rows in batch-sized slices.
+func (p *Prepass) emit(b *vector.Batch) {
+	p.outRows += int64(b.Len())
+	for pos := 0; ; {
+		s := nextSlice(b, &pos)
+		if s == nil {
+			return
+		}
+		p.pending = append(p.pending, s)
 	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(p.pending[i])
-	}
-	p.pending = p.pending[n:]
-	return batch
 }

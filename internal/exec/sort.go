@@ -4,7 +4,9 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -30,23 +32,54 @@ func compareRows(a, b types.Row, specs []SortSpec) int {
 	return 0
 }
 
+// colCompare orders physical entries i and j of a flat vector (NULLS
+// FIRST; -0.0 equals 0.0).
+func colCompare(v *vector.Vector, i, j int) int {
+	if v.Nulls != nil {
+		switch ni, nj := v.Nulls[i], v.Nulls[j]; {
+		case ni && nj:
+			return 0
+		case ni:
+			return -1
+		case nj:
+			return 1
+		}
+	}
+	switch v.Typ {
+	case types.Float64:
+		a, b := v.Floats[i], v.Floats[j]
+		switch {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+		return 0
+	case types.Varchar:
+		return strings.Compare(v.Strs[i], v.Strs[j])
+	default:
+		a, b := v.Ints[i], v.Ints[j]
+		switch {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+		return 0
+	}
+}
+
 // Sort sorts its input (paper §6.1 operator 5: "sorts incoming data,
-// externalizing if needed"). Input batches accumulate in memory until the
-// budget is exceeded, at which point sorted runs spill to disk and the final
-// pass is a k-way merge of the runs.
+// externalizing if needed"). Input batches accumulate column-wise in memory
+// until the budget is exceeded, at which point sorted runs spill to disk
+// and the final pass is a k-way merge of the runs (see sorter).
 type Sort struct {
 	single
 	Specs []SortSpec
 
-	rows    []types.Row
-	memUsed int64
-	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
-	runs    []*spillReader
-	merge   *sortMerge
-	arity   int
-	sorted  bool
-	pos     int
-	prof    OpProf
+	s      *sorter
+	sorted bool
+	prof   OpProf
 }
 
 // NewSort builds a sort node.
@@ -72,127 +105,192 @@ func (s *Sort) Describe() string {
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Ctx) error {
-	s.rows = nil
-	s.memUsed = 0
-	s.budget = ctx.MemBudget
-	s.runs = nil
-	s.merge = nil
+	s.s = newSorter(ctx, &s.prof, s.Specs, s.child.Schema())
 	s.sorted = false
-	s.pos = 0
-	s.arity = s.child.Schema().Len()
 	return s.openChild(ctx)
 }
 
 // Close implements Operator.
 func (s *Sort) Close(ctx *Ctx) error {
-	for _, r := range s.runs {
-		r.close()
-	}
-	s.runs = nil
+	s.s.close()
 	return s.closeChild(ctx)
 }
 
 // next is the operator body behind the profiled Next (profile.go).
 func (s *Sort) next(ctx *Ctx) (*vector.Batch, error) {
 	if !s.sorted {
-		if err := s.consume(ctx); err != nil {
+		for {
+			if err := ctx.Canceled(); err != nil {
+				return nil, err
+			}
+			in, err := s.child.Next(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if in == nil {
+				break
+			}
+			if err := s.s.add(in); err != nil {
+				return nil, err
+			}
+		}
+		if err := s.s.finish(); err != nil {
 			return nil, err
 		}
 		s.sorted = true
 	}
-	if s.merge != nil {
-		return s.merge.next(s.child.Schema())
-	}
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(s.child.Schema(), vector.DefaultBatchSize)
-	for s.pos < len(s.rows) && batch.Len() < vector.DefaultBatchSize {
-		batch.AppendRow(s.rows[s.pos])
-		s.pos++
-	}
-	return batch, nil
+	return s.s.next()
 }
 
-func (s *Sort) consume(ctx *Ctx) error {
-	for {
-		if err := ctx.Canceled(); err != nil {
-			return err
+// sorter orders a batch stream with bounded memory: the Sort operator's
+// engine, and the hash join's after a switch to sort-merge. Rows buffer
+// column-wise; each also gets a sortEntry holding its first sort key
+// normalised to a uint64 whose unsigned order is the key's order, so most
+// comparisons of the permutation sort never touch the columns. Over budget
+// (and denied more), it sorts what it holds and spills it as a run in the
+// row spill format.
+type sorter struct {
+	ctx     *Ctx
+	prof    *OpProf // the owning operator's collector
+	specs   []SortSpec
+	typs    []types.Type
+	buf     *colBuf
+	ents    []sortEntry
+	memUsed int64
+	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
+	runs    []*spillReader
+
+	// output: a position in ents (in memory), or a merge of runs
+	pos   int
+	merge *sortRunHeap
+}
+
+// sortEntry is one buffered row in the permutation: its normalised first
+// key and its row index in the buffer.
+type sortEntry struct {
+	key uint64
+	row int32
+}
+
+func newSorter(ctx *Ctx, prof *OpProf, specs []SortSpec, schema *types.Schema) *sorter {
+	s := &sorter{ctx: ctx, prof: prof, specs: specs, typs: schemaTypes(schema), budget: ctx.MemBudget}
+	s.buf = newColBuf(s.typs)
+	return s
+}
+
+// normKey maps physical entry r of v to a uint64 ordered like the value:
+// NULL lowest, then integers with the sign bit flipped, floats by the
+// IEEE total-order trick (-0.0 folded into 0.0), strings by their first
+// eight bytes. Equal normalised keys only mean "compare the columns".
+func normKey(v *vector.Vector, r int, desc bool) uint64 {
+	var k uint64
+	switch {
+	case v.NullAt(r):
+	case v.Typ == types.Float64:
+		f := v.Floats[r]
+		if f == 0 {
+			f = 0
 		}
-		in, err := s.child.Next(ctx)
-		if err != nil {
-			return err
+		if b := math.Float64bits(f); b>>63 != 0 {
+			k = ^b
+		} else {
+			k = b | 1<<63
 		}
-		if in == nil {
-			break
-		}
-		for _, r := range in.Rows() {
-			s.rows = append(s.rows, r)
-			s.memUsed += rowMemBytes(r)
-		}
-		ctx.noteAlloc(&s.prof, s.memUsed)
-		for s.memUsed > s.budget {
-			// At the spill threshold, renegotiate the grant first: grow in
-			// place while the pool has headroom, externalize only on denial.
-			if ext := ctx.extendBudget(s.budget, s.memUsed); ext > 0 {
-				s.budget += ext
-				continue
+	case v.Typ == types.Varchar:
+		s := v.Strs[r]
+		for i := 0; i < 8; i++ {
+			k <<= 8
+			if i < len(s) {
+				k |= uint64(s[i])
 			}
-			if err := s.spillRun(ctx); err != nil {
-				return err
-			}
-			break
 		}
+	default:
+		k = uint64(v.Ints[r]) ^ 1<<63
 	}
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return compareRows(s.rows[i], s.rows[j], s.Specs) < 0
-	})
-	if len(s.runs) == 0 {
-		return nil
+	if desc {
+		return ^k
 	}
-	// Final pass: merge spilled runs with the in-memory tail.
-	var srcs []*sortedRun
-	for _, r := range s.runs {
-		sr := &sortedRun{src: r, arity: s.arity}
-		if err := sr.advance(); err != nil {
-			return err
+	return k
+}
+
+// add buffers a batch and charges the buffer to the budget, renegotiating
+// the grant at the threshold and spilling a sorted run on denial.
+func (s *sorter) add(in *vector.Batch) error {
+	base := s.buf.len()
+	s.buf.appendBatch(in)
+	first := s.buf.cols[s.specs[0].Col]
+	for r := base; r < s.buf.len(); r++ {
+		s.ents = append(s.ents, sortEntry{key: normKey(first, r, s.specs[0].Desc), row: int32(r)})
+	}
+	s.memUsed = s.buf.bytes() + int64(cap(s.ents))*16
+	s.ctx.noteAlloc(s.prof, s.memUsed)
+	for s.memUsed > s.budget {
+		if ext := s.ctx.extendBudget(s.budget, s.memUsed); ext > 0 {
+			s.budget += ext
+			continue
 		}
-		if sr.cur != nil {
-			srcs = append(srcs, sr)
-		}
+		return s.spill()
 	}
-	memRun := &sortedRun{mem: s.rows, arity: s.arity}
-	if err := memRun.advance(); err != nil {
-		return err
-	}
-	if memRun.cur != nil {
-		srcs = append(srcs, memRun)
-	}
-	h := &sortRunHeap{runs: srcs, specs: s.Specs}
-	heap.Init(h)
-	s.merge = &sortMerge{h: h}
-	s.rows = nil
 	return nil
 }
 
-func (s *Sort) spillRun(ctx *Ctx) error {
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return compareRows(s.rows[i], s.rows[j], s.Specs) < 0
+// sortEntries orders the permutation: normalised first key, then the
+// columns, then the row index, which keeps the sort stable.
+func (s *sorter) sortEntries() {
+	cols := s.buf.cols
+	slices.SortFunc(s.ents, func(a, b sortEntry) int {
+		if a.key != b.key {
+			if a.key < b.key {
+				return -1
+			}
+			return 1
+		}
+		for _, sp := range s.specs {
+			if c := colCompare(cols[sp.Col], int(a.row), int(b.row)); c != 0 {
+				if sp.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return int(a.row - b.row)
 	})
-	w, err := newSpillWriter(spillDir(ctx))
+}
+
+// sortedRows returns the buffer's rows in sorted order (the spill path).
+func (s *sorter) sortedRows() []types.Row {
+	b := s.buf.batch(0, s.buf.len())
+	rows := make([]types.Row, len(s.ents))
+	for i, e := range s.ents {
+		rows[i] = b.Row(int(e.row))
+	}
+	return rows
+}
+
+func (s *sorter) spill() error {
+	if err := s.ctx.Canceled(); err != nil {
+		return err
+	}
+	s.sortEntries()
+	w, err := newSpillWriter(spillDir(s.ctx))
 	if err != nil {
 		return err
 	}
-	for i, r := range s.rows {
+	b := s.buf.batch(0, s.buf.len())
+	row := make(types.Row, len(s.typs))
+	for i, e := range s.ents {
 		// Poll cancellation mid-spill: a run can be long and the whole
 		// point of cancel is to stop burning disk and CPU promptly.
 		if i%1024 == 0 {
-			if err := ctx.Canceled(); err != nil {
+			if err := s.ctx.Canceled(); err != nil {
 				w.abort()
 				return err
 			}
 		}
-		if err := w.writeRow(r); err != nil {
+		for c, v := range b.Cols {
+			row[c] = v.ValueAt(int(e.row))
+		}
+		if err := w.writeRow(row); err != nil {
 			w.abort()
 			return err
 		}
@@ -203,20 +301,93 @@ func (s *Sort) spillRun(ctx *Ctx) error {
 		return err
 	}
 	s.runs = append(s.runs, rd)
-	s.rows = nil
+	s.buf = newColBuf(s.typs)
+	s.ents = nil
 	s.memUsed = 0
-	ctx.noteSpill(&s.prof, rd.bytes, "SORT_SPILLED")
+	s.ctx.noteSpill(s.prof, rd.bytes, "SORT_SPILLED")
 	return nil
 }
 
-func rowMemBytes(r types.Row) int64 {
-	b := int64(24 * len(r))
-	for _, v := range r {
-		if v.Typ == types.Varchar {
-			b += int64(len(v.S))
+// finish sorts the in-memory rows and, after spills, sets up the k-way
+// merge of the runs with them. Emitting gathers one output batch at a
+// time, which the budget is charged for too.
+func (s *sorter) finish() error {
+	s.sortEntries()
+	if n := len(s.ents); n > 0 {
+		rowBytes := s.buf.bytes() / int64(cap(s.ents))
+		s.memUsed += rowBytes * int64(min(n, vector.DefaultBatchSize))
+		s.ctx.noteAlloc(s.prof, s.memUsed)
+		for s.memUsed > s.budget {
+			ext := s.ctx.extendBudget(s.budget, s.memUsed)
+			if ext == 0 {
+				break // output batches are transient: emit anyway
+			}
+			s.budget += ext
 		}
 	}
-	return b
+	if len(s.runs) == 0 {
+		return nil
+	}
+	arity := len(s.typs)
+	var srcs []*sortedRun
+	for _, r := range s.runs {
+		srcs = append(srcs, &sortedRun{src: r, arity: arity})
+	}
+	srcs = append(srcs, &sortedRun{mem: s.sortedRows(), arity: arity})
+	s.merge = &sortRunHeap{specs: s.specs}
+	for _, r := range srcs {
+		if err := r.advance(); err != nil {
+			return err
+		}
+		if r.cur != nil {
+			s.merge.runs = append(s.merge.runs, r)
+		}
+	}
+	heap.Init(s.merge)
+	s.buf, s.ents = nil, nil
+	return nil
+}
+
+// next returns the next sorted batch, nil at the end.
+func (s *sorter) next() (*vector.Batch, error) {
+	if s.merge != nil {
+		batch := newBatchOf(s.typs, vector.DefaultBatchSize)
+		for batch.Len() < vector.DefaultBatchSize && s.merge.Len() > 0 {
+			row, err := s.merge.pop()
+			if err != nil {
+				return nil, err
+			}
+			batch.AppendRow(row)
+		}
+		if batch.Len() == 0 {
+			return nil, nil
+		}
+		return batch, nil
+	}
+	if s.pos >= len(s.ents) {
+		return nil, nil
+	}
+	hi := min(s.pos+vector.DefaultBatchSize, len(s.ents))
+	sel := make([]int, hi-s.pos)
+	for i := range sel {
+		sel[i] = int(s.ents[s.pos+i].row)
+	}
+	s.pos = hi
+	out := newBatchOf(s.typs, len(sel))
+	for c, v := range s.buf.cols {
+		out.Cols[c].AppendFrom(v, sel)
+	}
+	return out, nil
+}
+
+func (s *sorter) close() {
+	if s == nil {
+		return
+	}
+	for _, r := range s.runs {
+		r.close()
+	}
+	s.runs = nil
 }
 
 // sortedRun iterates one sorted run (spilled or in-memory).
@@ -250,6 +421,7 @@ func (r *sortedRun) advance() error {
 	return nil
 }
 
+// sortRunHeap k-way merges sorted runs.
 type sortRunHeap struct {
 	runs  []*sortedRun
 	specs []SortSpec
@@ -269,168 +441,30 @@ func (h *sortRunHeap) Pop() interface{} {
 	return x
 }
 
-type sortMerge struct {
-	h *sortRunHeap
-}
-
-func (m *sortMerge) next(schema *types.Schema) (*vector.Batch, error) {
-	if m.h.Len() == 0 {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(schema, vector.DefaultBatchSize)
-	for batch.Len() < vector.DefaultBatchSize && m.h.Len() > 0 {
-		run := m.h.runs[0]
-		batch.AppendRow(run.cur)
-		if err := run.advance(); err != nil {
-			return nil, err
-		}
-		if run.cur == nil {
-			heap.Pop(m.h)
-		} else {
-			heap.Fix(m.h, 0)
-		}
-	}
-	if batch.Len() == 0 {
-		return nil, nil
-	}
-	return batch, nil
-}
-
-// externalSortRows sorts an arbitrary row stream with bounded memory,
-// returning an iterator; used by the hash join's runtime switch to
-// sort-merge (paper §6.1: "if Vertica determines at runtime the hash table
-// for a hash join will not fit into memory, we will perform a sort-merge
-// join instead").
-type rowIter interface {
-	next() (types.Row, error) // nil row at end
-}
-
-type sliceRowIter struct {
-	rows []types.Row
-	pos  int
-}
-
-func (s *sliceRowIter) next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-type mergeRowIter struct{ h *sortRunHeap }
-
-func (m *mergeRowIter) next() (types.Row, error) {
-	if m.h.Len() == 0 {
-		return nil, nil
-	}
-	run := m.h.runs[0]
+// pop returns the smallest current row and advances its run.
+func (h *sortRunHeap) pop() (types.Row, error) {
+	run := h.runs[0]
 	row := run.cur
 	if err := run.advance(); err != nil {
 		return nil, err
 	}
 	if run.cur == nil {
-		heap.Pop(m.h)
+		heap.Pop(h)
 	} else {
-		heap.Fix(m.h, 0)
+		heap.Fix(h, 0)
 	}
 	return row, nil
 }
 
-// externalSorter accumulates rows and produces a sorted iterator.
-type externalSorter struct {
-	ctx     *Ctx
-	specs   []SortSpec
-	arity   int
-	rows    []types.Row
-	memUsed int64
-	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
-	runs    []*spillReader
-	// prof is the owning operator's collector (the sorter is internal to a
-	// join's sort-merge switch); nil attributes nothing.
-	prof *OpProf
+// sortedInput replays a sorter's output as an operator: the inputs of the
+// merge join a hash join switches to.
+type sortedInput struct {
+	s      *sorter
+	schema *types.Schema
 }
 
-func newExternalSorter(ctx *Ctx, specs []SortSpec, arity int) *externalSorter {
-	return &externalSorter{ctx: ctx, specs: specs, arity: arity, budget: ctx.MemBudget}
-}
-
-func (e *externalSorter) add(r types.Row) error {
-	e.rows = append(e.rows, r)
-	e.memUsed += rowMemBytes(r)
-	e.ctx.noteAlloc(e.prof, e.memUsed)
-	for e.memUsed > e.budget {
-		// Renegotiate the grant before externalizing; spill on denial.
-		if ext := e.ctx.extendBudget(e.budget, e.memUsed); ext > 0 {
-			e.budget += ext
-			continue
-		}
-		return e.spill()
-	}
-	return nil
-}
-
-func (e *externalSorter) spill() error {
-	if err := e.ctx.Canceled(); err != nil {
-		return err
-	}
-	sort.SliceStable(e.rows, func(i, j int) bool {
-		return compareRows(e.rows[i], e.rows[j], e.specs) < 0
-	})
-	w, err := newSpillWriter(spillDir(e.ctx))
-	if err != nil {
-		return err
-	}
-	for _, r := range e.rows {
-		if err := w.writeRow(r); err != nil {
-			w.abort()
-			return err
-		}
-	}
-	rd, err := w.finish()
-	if err != nil {
-		w.abort()
-		return err
-	}
-	e.runs = append(e.runs, rd)
-	e.rows = nil
-	e.memUsed = 0
-	e.ctx.noteSpill(e.prof, rd.bytes, "SORT_SPILLED")
-	return nil
-}
-
-func (e *externalSorter) finish() (rowIter, error) {
-	sort.SliceStable(e.rows, func(i, j int) bool {
-		return compareRows(e.rows[i], e.rows[j], e.specs) < 0
-	})
-	if len(e.runs) == 0 {
-		return &sliceRowIter{rows: e.rows}, nil
-	}
-	var srcs []*sortedRun
-	for _, r := range e.runs {
-		sr := &sortedRun{src: r, arity: e.arity}
-		if err := sr.advance(); err != nil {
-			return nil, err
-		}
-		if sr.cur != nil {
-			srcs = append(srcs, sr)
-		}
-	}
-	memRun := &sortedRun{mem: e.rows, arity: e.arity}
-	if err := memRun.advance(); err != nil {
-		return nil, err
-	}
-	if memRun.cur != nil {
-		srcs = append(srcs, memRun)
-	}
-	h := &sortRunHeap{runs: srcs, specs: e.specs}
-	heap.Init(h)
-	return &mergeRowIter{h: h}, nil
-}
-
-func (e *externalSorter) closeRuns() {
-	for _, r := range e.runs {
-		r.close()
-	}
-}
+func (in *sortedInput) Schema() *types.Schema            { return in.schema }
+func (in *sortedInput) Open(*Ctx) error                  { return nil }
+func (in *sortedInput) Next(*Ctx) (*vector.Batch, error) { return in.s.next() }
+func (in *sortedInput) Close(*Ctx) error                 { in.s.close(); return nil }
+func (in *sortedInput) Describe() string                 { return "SortedSpillInput" }

@@ -91,10 +91,13 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 	// Star-style join ordering (paper §6.2): the largest table is the fact;
 	// dimensions join in increasing effective size (selectivity x rows) so
 	// the most selective dimensions filter first.
-	// A two-table outer, semi or anti join keeps its FROM order instead:
-	// the first table is the probe side, the side the join type preserves.
+	// A two-table outer, semi or anti join probes with the table its type
+	// preserves instead: the first one, or the second of a RIGHT JOIN,
+	// which is then planned as the equivalent LEFT JOIN.
 	factIdx := 0
-	if len(q.From) != 2 || len(q.JoinConds) == 0 || q.JoinConds[0].Type == exec.InnerJoin {
+	if len(q.From) == 2 && len(q.JoinConds) > 0 && q.JoinConds[0].Type == exec.RightOuterJoin {
+		factIdx = 1
+	} else if len(q.From) != 2 || len(q.JoinConds) == 0 || q.JoinConds[0].Type == exec.InnerJoin {
 		for i, ts := range scans {
 			if ts.rows > scans[factIdx].rows {
 				factIdx = i
@@ -150,6 +153,9 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		jt := exec.InnerJoin
 		if len(q.From) == 2 {
 			jt = q.JoinConds[0].Type
+			if jt == exec.RightOuterJoin {
+				jt = exec.LeftOuterJoin // probing with the right table
+			}
 		}
 		dimDesc := q.From[dim.tblIdx].Table.Name
 		if dim.proj != nil {

@@ -10,6 +10,7 @@ package vector
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -199,7 +200,7 @@ func (v *Vector) AppendFrom(src *Vector, sel []int) {
 	if n == 0 {
 		return
 	}
-	if src.HasNulls() && v.Nulls == nil {
+	if v.Nulls == nil && src.Nulls != nil && anyNull(src.Nulls, sel) {
 		v.Nulls = make([]bool, v.PhysLen(), v.PhysLen()+n)
 	}
 	if v.Nulls != nil {
@@ -244,6 +245,20 @@ func (v *Vector) AppendFrom(src *Vector, sel []int) {
 	}
 }
 
+// anyNull reports whether any entry of nulls (only those at sel, when
+// non-nil) is set.
+func anyNull(nulls []bool, sel []int) bool {
+	if sel == nil {
+		return slices.Contains(nulls, true)
+	}
+	for _, i := range sel {
+		if nulls[i] {
+			return true
+		}
+	}
+	return false
+}
+
 // Gather returns a new flat vector with the entries at the given physical
 // indexes, in order. The receiver must be flat.
 func (v *Vector) Gather(idx []int) *Vector {
@@ -262,17 +277,19 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 	if v.RunLens != nil {
 		panic("vector: Slice on RLE vector")
 	}
+	// Full slice expressions cap the view, so appending to it reallocates
+	// instead of overwriting the rows after hi.
 	out := &Vector{Typ: v.Typ}
 	switch v.Typ {
 	case types.Float64:
-		out.Floats = v.Floats[lo:hi]
+		out.Floats = v.Floats[lo:hi:hi]
 	case types.Varchar:
-		out.Strs = v.Strs[lo:hi]
+		out.Strs = v.Strs[lo:hi:hi]
 	default:
-		out.Ints = v.Ints[lo:hi]
+		out.Ints = v.Ints[lo:hi:hi]
 	}
 	if v.Nulls != nil {
-		out.Nulls = v.Nulls[lo:hi]
+		out.Nulls = v.Nulls[lo:hi:hi]
 	}
 	return out
 }
