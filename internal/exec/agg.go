@@ -3,8 +3,8 @@ package exec
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/expr"
 	"repro/internal/types"
@@ -408,11 +408,13 @@ func (a *aggCol) foldExt(ids []int32, lo, hi int, arg *vector.Vector) {
 	}
 }
 
-// final returns the aggregate's result column for groups [lo, hi).
+// final returns the aggregate's result column for groups [lo, hi). The
+// column shares the state's storage: take it only once the groups are
+// complete.
 func (a *aggCol) final(lo, hi int) *vector.Vector {
 	switch a.kind {
 	case AggCountStar, AggCount, AggCountDistinct:
-		return vector.NewFromInts(types.Int64, slices.Clone(a.count[lo:hi]))
+		return vector.NewFromInts(types.Int64, a.count[lo:hi:hi])
 	case AggAvg:
 		out := make([]float64, hi-lo)
 		for g := lo; g < hi; g++ {
@@ -427,30 +429,30 @@ func (a *aggCol) final(lo, hi int) *vector.Vector {
 	v := &vector.Vector{Typ: a.typ}
 	switch {
 	case a.kind == AggSum && a.typ == types.Float64:
-		v.Floats = slices.Clone(a.sumF[lo:hi])
+		v.Floats = a.sumF[lo:hi:hi]
 	case a.kind == AggSum:
-		v.Ints = slices.Clone(a.sumI[lo:hi])
+		v.Ints = a.sumI[lo:hi:hi]
 	case a.typ == types.Float64:
-		v.Floats = slices.Clone(a.ext.Floats[lo:hi])
+		v.Floats = a.ext.Floats[lo:hi:hi]
 	case a.typ == types.Varchar:
-		v.Strs = slices.Clone(a.ext.Strs[lo:hi])
+		v.Strs = a.ext.Strs[lo:hi:hi]
 	default:
-		v.Ints = slices.Clone(a.ext.Ints[lo:hi])
+		v.Ints = a.ext.Ints[lo:hi:hi]
 	}
 	v.Nulls = nullsWhere(lo, hi, func(g int) bool { return !a.seen[g] })
 	return v
 }
 
 // partial returns the aggregate's partial-state columns for groups
-// [lo, hi) (see AggSpec.PartialCols).
+// [lo, hi) (see AggSpec.PartialCols), sharing storage like final.
 func (a *aggCol) partial(lo, hi int) []*vector.Vector {
 	switch a.kind {
 	case AggCountStar, AggCount:
-		return []*vector.Vector{vector.NewFromInts(types.Int64, slices.Clone(a.count[lo:hi]))}
+		return []*vector.Vector{a.final(lo, hi)}
 	case AggAvg:
-		sum := vector.NewFromFloats(slices.Clone(a.sumF[lo:hi]))
+		sum := vector.NewFromFloats(a.sumF[lo:hi:hi])
 		sum.Nulls = nullsWhere(lo, hi, func(g int) bool { return a.count[g] == 0 })
-		return []*vector.Vector{sum, vector.NewFromInts(types.Int64, slices.Clone(a.count[lo:hi]))}
+		return []*vector.Vector{sum, vector.NewFromInts(types.Int64, a.count[lo:hi:hi])}
 	default: // SUM, MIN, MAX
 		return []*vector.Vector{a.final(lo, hi)}
 	}
@@ -472,7 +474,7 @@ func nullsWhere(lo, hi int, null func(int) bool) []bool {
 
 // bytes is the state's footprint.
 func (a *aggCol) bytes() int64 {
-	n := int64(cap(a.count)+cap(a.sumI)+cap(a.sumF))*8 + int64(cap(a.seen))
+	n := int64(unsafe.Sizeof(*a)) + int64(cap(a.count)+cap(a.sumI)+cap(a.sumF))*8 + int64(cap(a.seen))
 	if a.ext != nil {
 		n += vecBytes(a.ext)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -439,31 +440,36 @@ func TestGroupByEmptyInput(t *testing.T) {
 
 func TestPrepassPlusFinalGroupBy(t *testing.T) {
 	f := newExecFixture(t, 1000, 5, 2)
-	pre, err := NewPrepass(f.scan(1, 2),
-		[]expr.Expr{intCol(0, "grp")}, []string{"grp"},
-		[]AggSpec{
-			{Kind: AggCountStar, Name: "cnt"},
-			{Kind: AggAvg, Arg: fltCol(1, "v"), Name: "av"},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := NewGroupBy(pre, []expr.Expr{intCol(0, "grp")}, []string{"grp"},
-		[]AggSpec{
-			{Kind: AggCountStar, Name: "cnt"},
-			{Kind: AggAvg, Arg: nil, Name: "av"},
-		})
-	final.MergePartials = true
-	rows, err := Drain(f.ctx(), final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("groups = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r[1].I != 200 {
-			t.Errorf("group %v count = %v, want 200", r[0], r[1])
+	// A 3-group table fills in the middle of a batch, and flushes there.
+	for _, maxGroups := range []int{DefaultPrepassGroups, 3} {
+		pre, err := NewPrepass(f.scan(1, 2),
+			[]expr.Expr{intCol(0, "grp")}, []string{"grp"},
+			[]AggSpec{
+				{Kind: AggCountStar, Name: "cnt"},
+				{Kind: AggAvg, Arg: fltCol(1, "v"), Name: "av"},
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre.MaxGroups = maxGroups
+		final := NewGroupBy(pre, []expr.Expr{intCol(0, "grp")}, []string{"grp"},
+			[]AggSpec{
+				{Kind: AggCountStar, Name: "cnt"},
+				{Kind: AggAvg, Arg: nil, Name: "av"},
+			})
+		final.MergePartials = true
+		rows, err := Drain(f.ctx(), final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 5 {
+			t.Fatalf("maxGroups %d: groups = %d", maxGroups, len(rows))
+		}
+		for _, r := range rows {
+			// v = i, so group g's rows g, g+5, ..., g+995 average g + 497.5.
+			if want := float64(r[0].I) + 497.5; r[1].I != 200 || r[2].F != want {
+				t.Errorf("maxGroups %d: group %v = %v, want count 200, avg %v", maxGroups, r[0], r, want)
+			}
 		}
 	}
 }
@@ -1057,5 +1063,114 @@ func TestSemiAntiResidualDuplicateKeys(t *testing.T) {
 	}
 	if got := run(AntiJoin, false); len(got) != 2 {
 		t.Errorf("anti failing: %v", got)
+	}
+}
+
+// TestJoinsAgreeWithNestedLoop checks every join implementation against a
+// nested-loop reference over keys with duplicates and NULLs, with and
+// without a residual: the hash join (in memory, and switched to sort-merge
+// by a tiny budget) for every flavor it can run that way, and the merge
+// join over sorted inputs for the flavors it supports. Chunks of 4096
+// candidate pairs are crossed by the 5000-row probe side.
+func TestJoinsAgreeWithNestedLoop(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "k", Typ: types.Int64},
+		types.Column{Name: "v", Typ: types.Int64},
+	)
+	gen := func(n, keys int, seed int64) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			h := (int64(i)*2654435761 + seed) % 1000003
+			k := types.NewInt(h % int64(keys))
+			if h%11 == 0 {
+				k = types.NewNull(types.Int64)
+			}
+			rows[i] = types.Row{k, types.NewInt(h % 97)}
+		}
+		return rows
+	}
+	outerRows, innerRows := gen(5000, 40, 1), gen(300, 50, 7)
+	sorted := func(rows []types.Row) []types.Row {
+		out := append([]types.Row(nil), rows...)
+		sort.SliceStable(out, func(i, j int) bool { return out[i][0].Compare(out[j][0]) < 0 })
+		return out
+	}
+	// Residual over [outer k v, inner k v]: outer v < inner v.
+	residual := expr.MustCmp(expr.Lt, expr.NewColRef(1, types.Int64, "ov"), expr.NewColRef(3, types.Int64, "iv"))
+	reference := func(jt JoinType, res bool) []string {
+		var out []string
+		hit := make([]bool, len(innerRows))
+		for _, o := range outerRows {
+			matched := false
+			for i, in := range innerRows {
+				if o[0].Null || in[0].Null || o[0].I != in[0].I || (res && o[1].I >= in[1].I) {
+					continue
+				}
+				matched, hit[i] = true, true
+				if jt != SemiJoin && jt != AntiJoin {
+					out = append(out, types.Row{o[0], o[1], in[0], in[1]}.String())
+				}
+			}
+			switch {
+			case jt == SemiJoin && matched, jt == AntiJoin && !matched:
+				out = append(out, o.String())
+			case !matched && (jt == LeftOuterJoin || jt == FullOuterJoin):
+				out = append(out, types.Row{o[0], o[1], types.NewNull(types.Int64), types.NewNull(types.Int64)}.String())
+			}
+		}
+		for i, in := range innerRows {
+			if !hit[i] && (jt == RightOuterJoin || jt == FullOuterJoin) {
+				out = append(out, types.Row{types.NewNull(types.Int64), types.NewNull(types.Int64), in[0], in[1]}.String())
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	check := func(name string, op Operator, ctx *Ctx, want []string) {
+		t.Helper()
+		rows, err := Drain(ctx, op)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := make([]string, len(rows))
+		for i, r := range rows {
+			got[i] = r.String()
+		}
+		sort.Strings(got)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d = %s, want %s", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, jt := range []JoinType{InnerJoin, LeftOuterJoin, RightOuterJoin, FullOuterJoin, SemiJoin, AntiJoin} {
+		for _, res := range []bool{false, true} {
+			want := reference(jt, res)
+			name := fmt.Sprintf("%s residual=%v", jt, res)
+			var r expr.Expr
+			if res {
+				r = residual
+			}
+			hj, _ := NewHashJoin(jt, NewValues(schema, outerRows), NewValues(schema, innerRows), []int{0}, []int{0})
+			hj.Residual = r
+			check("hash "+name, hj, NewCtx(1), want)
+			if jt == RightOuterJoin || jt == FullOuterJoin {
+				continue // neither the merge join nor the switch runs these
+			}
+			small := NewCtx(1)
+			small.MemBudget, small.TempDir = 1<<10, t.TempDir()
+			sw, _ := NewHashJoin(jt, NewValues(schema, outerRows), NewValues(schema, innerRows), []int{0}, []int{0})
+			sw.Residual = r
+			check("switched "+name, sw, small, want)
+			if !sw.spilled {
+				t.Errorf("switched %s: did not switch to sort-merge", name)
+			}
+			mj, _ := NewMergeJoin(jt, NewValues(schema, sorted(outerRows)), NewValues(schema, sorted(innerRows)), []int{0}, []int{0})
+			mj.Residual = r
+			check("merge "+name, mj, NewCtx(1), want)
+		}
 	}
 }

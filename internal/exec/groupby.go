@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/expr"
 	"repro/internal/types"
@@ -188,8 +189,25 @@ func (g *GroupBy) consumeAll(ctx *Ctx) error {
 	if len(g.Keys) == 0 && len(g.Aggs) > 0 {
 		g.st.grow(1)
 	}
-	g.out = g.st.finalBatch()
+	g.finish(ctx)
 	return nil
+}
+
+// finish builds the output from the groups; it is held until drained, so
+// its own columns (those not shared with the state) count as state too.
+func (g *GroupBy) finish(ctx *Ctx) {
+	mem := g.st.bytes()
+	g.out = g.st.finalBatch()
+	for a, v := range g.out.Cols[len(g.Keys):] {
+		if g.Aggs[a].Kind == AggAvg {
+			mem += vecBytes(v)
+		} else {
+			mem += int64(cap(v.Nulls))
+		}
+	}
+	if !g.InputSorted {
+		ctx.noteAlloc(&g.prof, mem)
+	}
 }
 
 // account charges the hash state to the budget: at the threshold it
@@ -342,7 +360,7 @@ func (g *GroupBy) mergeSpills(ctx *Ctx) error {
 		}
 	}
 	flush()
-	g.out = g.st.finalBatch()
+	g.finish(ctx)
 	return nil
 }
 
@@ -415,24 +433,37 @@ type groupState struct {
 	aggs   []*aggCol
 	n      int
 	keyIdx []int
-	ids    []int32 // per row of the current batch: its group
+	ids    []int32  // per row of the current batch: its group
+	hashes []uint64 // per row of the current batch: its key hash
 	// keyStr counts string key payloads appended outside the table.
 	keyStr int64
 }
 
 func newGroupState(keyTypes []types.Type, aggs []AggSpec, hashed bool) *groupState {
-	st := &groupState{keys: make([]*vector.Vector, len(keyTypes)), keyIdx: make([]int, len(keyTypes))}
-	for i, t := range keyTypes {
-		st.keys[i] = vector.New(t, 0)
+	st := &groupState{keyIdx: make([]int, len(keyTypes))}
+	for i := range st.keyIdx {
 		st.keyIdx[i] = i
 	}
+	st.clear(keyTypes, aggs, hashed)
+	return st
+}
+
+// clear drops every group, keeping the current batch's scratch: emitted
+// or spilled groups still share the old key and aggregate storage.
+func (st *groupState) clear(keyTypes []types.Type, aggs []AggSpec, hashed bool) {
+	st.keys = make([]*vector.Vector, len(keyTypes))
+	for i, t := range keyTypes {
+		st.keys[i] = vector.New(t, 0)
+	}
+	st.table = nil
 	if hashed && len(keyTypes) > 0 {
 		st.table = newHashTable(st.keys)
 	}
+	st.aggs = st.aggs[:0:0]
 	for i := range aggs {
 		st.aggs = append(st.aggs, newAggCol(&aggs[i]))
 	}
-	return st
+	st.n, st.keyStr = 0, 0
 }
 
 // grow extends every aggregate to n groups.
@@ -462,8 +493,10 @@ func (st *groupState) assign(n int, keys []*vector.Vector, from, limit int) int 
 		clear(st.ids)
 		return n
 	case st.table != nil:
-		hashes := vector.NewBatch(keys...).Hashes(st.keyIdx)
-		end := st.table.findOrInsert(keys, hashes, from, st.ids, limit)
+		if from == 0 {
+			st.hashes = vector.NewBatch(keys...).HashesInto(st.keyIdx, st.hashes)
+		}
+		end := st.table.findOrInsert(keys, st.hashes, from, st.ids, limit)
 		st.grow(st.table.len())
 		return end
 	default:
@@ -499,11 +532,11 @@ func (st *groupState) fold(lo, hi int, args [][]*vector.Vector, merge bool) {
 
 // bytes is the state's footprint.
 func (st *groupState) bytes() int64 {
-	var n int64
+	n := int64(unsafe.Sizeof(*st))
 	if st.table != nil {
-		n = st.table.bytes(true)
+		n += int64(unsafe.Sizeof(*st.table)) + st.table.bytes(true)
 	} else {
-		n = st.keyStr
+		n += st.keyStr
 		for _, v := range st.keys {
 			n += vecBytes(v)
 		}
@@ -511,7 +544,7 @@ func (st *groupState) bytes() int64 {
 	for _, a := range st.aggs {
 		n += a.bytes()
 	}
-	return n + int64(cap(st.ids))*4
+	return n + int64(cap(st.ids))*4 + int64(cap(st.hashes))*8
 }
 
 // finalBatch returns every group: key columns then aggregate results.
@@ -542,7 +575,7 @@ func (st *groupState) sortedPartialRows() []types.Row {
 	}
 	slices.SortFunc(perm, func(x, y int) int {
 		for _, k := range st.keys {
-			if c := colCompare(k, x, y); c != 0 {
+			if c := colCompare(k, x, k, y); c != 0 {
 				return c
 			}
 		}

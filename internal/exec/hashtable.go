@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -70,6 +71,17 @@ func (b *colBuf) appendCols(src []*vector.Vector, sel []int) {
 	}
 }
 
+// reset empties the buffer, keeping its capacity.
+func (b *colBuf) reset() {
+	for _, v := range b.cols {
+		v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
+		if v.Nulls != nil {
+			v.Nulls = v.Nulls[:0]
+		}
+	}
+	b.strBytes = 0
+}
+
 // appendBatch appends every live row of a batch (RLE columns expand).
 func (b *colBuf) appendBatch(in *vector.Batch) {
 	in.ExpandRLE()
@@ -86,10 +98,33 @@ func (b *colBuf) bytes() int64 {
 	return n
 }
 
-// vecBytes is a vector's allocated capacity in bytes (string headers, not
-// payloads).
+// vecBytes is a vector's footprint: its header and allocated capacity
+// (string headers, not payloads).
 func vecBytes(v *vector.Vector) int64 {
-	return int64(cap(v.Ints))*8 + int64(cap(v.Floats))*8 + int64(cap(v.Strs))*16 + int64(cap(v.Nulls))
+	return int64(unsafe.Sizeof(*v)) + allocBytes(int64(cap(v.Ints))*8) + allocBytes(int64(cap(v.Floats))*8) +
+		allocBytes(int64(cap(v.Strs))*16) + allocBytes(int64(cap(v.Nulls)))
+}
+
+// allocBytes bounds the heap an n-byte allocation takes: large objects
+// round up to whole 8 KiB pages, small ones to a size class at most 1/8
+// larger.
+func allocBytes(n int64) int64 {
+	if n >= 32<<10 {
+		return (n + 8191) &^ 8191
+	}
+	return n + n/8
+}
+
+// batchBytes is a batch's footprint, its vectors included (nil: 0).
+func batchBytes(b *vector.Batch) int64 {
+	if b == nil {
+		return 0
+	}
+	n := int64(unsafe.Sizeof(*b)) + int64(cap(b.Cols))*8
+	for _, v := range b.Cols {
+		n += vecBytes(v)
+	}
+	return n
 }
 
 // batch returns rows [lo, hi) as a batch sharing the buffer's storage.
@@ -262,7 +297,7 @@ func (t *hashTable) findOrInsert(cols []*vector.Vector, hashes []uint64, from in
 
 // bytes is the index's footprint plus, when ownKeys, its key columns.
 func (t *hashTable) bytes(ownKeys bool) int64 {
-	n := int64(cap(t.hashes))*8 + int64(cap(t.next))*4 + int64(cap(t.heads))*4
+	n := allocBytes(int64(cap(t.hashes))*8) + allocBytes(int64(cap(t.next))*4) + allocBytes(int64(cap(t.heads))*4)
 	if ownKeys {
 		n += t.strBytes
 		for _, v := range t.keys {

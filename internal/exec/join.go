@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/expr"
 	"repro/internal/metrics"
@@ -85,7 +86,7 @@ type HashJoin struct {
 	row       int
 	inRow     bool  // row's chain walk has started
 	cur       int32 // next chain entry of row
-	rowHit    bool  // row has a surviving match
+	pairs     joinPairs
 	pending   []*vector.Batch
 	innerDone bool
 	prof      OpProf
@@ -162,7 +163,8 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.build, j.table, j.matched = nil, nil, nil
 	j.built, j.spilled, j.innerDone = false, false, false
 	j.merge = nil
-	j.probe, j.row, j.inRow, j.rowHit = nil, 0, false, false
+	j.probe, j.row, j.inRow = nil, 0, false
+	j.pairs = joinPairs{}
 	j.pending = nil
 	if err := j.outer.Open(ctx); err != nil {
 		return err
@@ -170,11 +172,15 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	return j.inner.Open(ctx)
 }
 
-// Close implements Operator.
+// Close implements Operator. It drops the build side and probe state so
+// a retained plan tree does not pin them.
 func (j *HashJoin) Close(ctx *Ctx) error {
 	if j.merge != nil {
 		j.merge.Close(ctx) // removes the sorted runs
 	}
+	j.build, j.table, j.matched, j.merge = nil, nil, nil, nil
+	j.probe, j.probeKeys, j.hashes, j.pending = nil, nil, nil, nil
+	j.pairs = joinPairs{}
 	if err := j.outer.Close(ctx); err != nil {
 		j.inner.Close(ctx)
 		return err
@@ -182,9 +188,9 @@ func (j *HashJoin) Close(ctx *Ctx) error {
 	return j.inner.Close(ctx)
 }
 
-// memBytes is the build side's footprint.
+// memBytes is the build side's footprint, the operator's own included.
 func (j *HashJoin) memBytes() int64 {
-	return j.build.bytes() + j.table.bytes(false) + int64(cap(j.matched))
+	return int64(unsafe.Sizeof(*j)) + j.build.bytes() + j.table.bytes(false) + int64(cap(j.matched))
 }
 
 // buildTable drains the inner input into the hash table, renegotiating the
@@ -260,9 +266,13 @@ func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 			return b, nil
 		}
 		if j.probe != nil && j.row < j.probe.Len() {
-			if err := j.probeChunk(); err != nil {
+			out, err := j.probeChunk()
+			if err != nil {
 				return nil, err
 			}
+			// The probe's working set: the build side, the chunk scratch
+			// and the batch gathered from it.
+			ctx.noteAlloc(&j.prof, j.memBytes()+j.pairs.bytes()+int64(cap(j.hashes))*8+batchBytes(out))
 			continue
 		}
 		out, err := j.outer.Next(ctx)
@@ -289,12 +299,12 @@ func (j *HashJoin) startProbe(b *vector.Batch) {
 		b.ExpandRLE()
 	}
 	j.probe = b
-	j.hashes = b.Hashes(j.OuterKeys)
+	j.hashes = b.HashesInto(j.OuterKeys, j.hashes)
 	j.probeKeys = j.probeKeys[:0]
 	for _, k := range j.OuterKeys {
 		j.probeKeys = append(j.probeKeys, b.Cols[k])
 	}
-	j.row, j.inRow, j.rowHit = 0, false, false
+	j.row, j.inRow = 0, false
 }
 
 // joinChunk bounds the candidate pairs gathered per step: enough to
@@ -306,75 +316,75 @@ const joinChunk = vector.DefaultBatchSize
 // or with build < 0 the end of the probe row's candidates.
 type probeStep struct{ probe, build int }
 
-// probeChunk walks the hash chains of the current probe batch until it has
-// gathered joinChunk candidate pairs (or the batch ends), applies the
-// residual to them, and queues the output they produce. A chain walk
-// interrupted by the chunk limit resumes on the next call.
-func (j *HashJoin) probeChunk() error {
-	semiAnti := j.Type == SemiJoin || j.Type == AntiJoin
-	// Residual-free semi/anti joins are decided by the first key match.
-	oneEnough := j.Residual == nil && semiAnti
-	var steps []probeStep
-	var candP, candB []int
-	n := j.probe.Len()
-	for j.row < n && len(candP) < joinChunk {
-		i := j.row
-		if !j.inRow {
-			j.inRow = true
-			j.cur = -1
-			if !j.nullKey(i) { // SQL semantics: NULL keys never match
-				j.cur = j.table.first(j.hashes[i])
-			}
-		}
-		for j.cur >= 0 && len(candP) < joinChunk {
-			e := j.cur
-			j.cur = j.table.next[e]
-			if j.table.matches(e, j.hashes[i], j.probeKeys, i) {
-				steps = append(steps, probeStep{i, int(e)})
-				candP, candB = append(candP, i), append(candB, int(e))
-				if oneEnough {
-					j.cur = -1
-				}
-			}
-		}
-		if j.cur < 0 {
-			steps = append(steps, probeStep{i, -1})
-			j.row++
-			j.inRow = false
-		}
-	}
+// joinPairs is one chunk of join work, reused from chunk to chunk: the
+// probe events HashJoin and MergeJoin record, and the output pairs resolve
+// turns them into under the join type's semantics.
+type joinPairs struct {
+	steps        []probeStep
+	candP, candB []int
+	outP, outB   []int
+	// rowHit: the probe row being resolved has a surviving match. A hash
+	// join row can span chunks, so it persists until the row's end event.
+	rowHit bool
+}
+
+func (p *joinPairs) reset() {
+	p.steps, p.candP, p.candB = p.steps[:0], p.candP[:0], p.candB[:0]
+}
+
+// add records a candidate pair.
+func (p *joinPairs) add(probe, build int) {
+	p.steps = append(p.steps, probeStep{probe, build})
+	p.candP, p.candB = append(p.candP, probe), append(p.candB, build)
+}
+
+// end records the end of a probe row's candidates.
+func (p *joinPairs) end(probe int) { p.steps = append(p.steps, probeStep{probe, -1}) }
+
+func (p *joinPairs) bytes() int64 {
+	return int64(cap(p.steps))*16 + int64(cap(p.candP)+cap(p.candB)+cap(p.outP)+cap(p.outB))*8
+}
+
+// resolve evaluates the residual once over the candidate pairs gathered
+// into a batch, then walks the events: surviving pairs become output pairs
+// (semi/anti joins keep one decision per probe row), a row ending without
+// one is padded (outer joins) or kept (anti join), and matched build rows
+// are marked when matched is non-nil. It returns the output gathered from
+// outer (probe rows) and inner (build columns), nil when there is none.
+func (p *joinPairs) resolve(t JoinType, residual expr.Expr, outer *vector.Batch, inner []*vector.Vector, matched []bool) (*vector.Batch, error) {
+	semiAnti := t == SemiJoin || t == AntiJoin
 	var keep []bool
-	if j.Residual != nil && len(candP) > 0 {
+	if residual != nil && len(p.candP) > 0 {
 		var err error
-		if keep, err = evalMask(j.Residual, j.gather(candP, candB, true)); err != nil {
-			return err
+		if keep, err = evalMask(residual, gatherPairs(outer, inner, p.candP, p.candB, true)); err != nil {
+			return nil, err
 		}
 	}
-	var outP, outB []int
+	outP, outB := p.outP[:0], p.outB[:0]
 	c := 0
-	for _, st := range steps {
+	for _, st := range p.steps {
 		if st.build < 0 {
-			if !j.rowHit {
-				switch j.Type {
+			if !p.rowHit {
+				switch t {
 				case LeftOuterJoin, FullOuterJoin:
 					outP, outB = append(outP, st.probe), append(outB, -1)
 				case AntiJoin:
 					outP = append(outP, st.probe)
 				}
 			}
-			j.rowHit = false
+			p.rowHit = false
 			continue
 		}
 		ok := keep == nil || keep[c]
 		c++
-		if !ok || (semiAnti && j.rowHit) {
+		if !ok || (semiAnti && p.rowHit) {
 			continue
 		}
-		j.rowHit = true
-		if j.matched != nil {
-			j.matched[st.build] = true
+		p.rowHit = true
+		if matched != nil {
+			matched[st.build] = true
 		}
-		switch j.Type {
+		switch t {
 		case SemiJoin:
 			outP = append(outP, st.probe)
 		case AntiJoin:
@@ -382,18 +392,65 @@ func (j *HashJoin) probeChunk() error {
 			outP, outB = append(outP, st.probe), append(outB, st.build)
 		}
 	}
-	if semiAnti && j.inRow && j.rowHit {
-		j.cur = -1 // the row in progress is decided: skip its other candidates
+	p.outP, p.outB = outP, outB
+	if len(outP) == 0 {
+		return nil, nil
 	}
-	if len(outP) > 0 {
-		j.pending = append(j.pending, j.gather(outP, outB, !semiAnti))
-	}
-	return nil
+	return gatherPairs(outer, inner, outP, outB, !semiAnti), nil
 }
 
-// nullKey reports whether probe row i has a NULL key.
-func (j *HashJoin) nullKey(i int) bool {
-	for _, k := range j.probeKeys {
+// probeChunk walks the hash chains of the current probe batch until it has
+// gathered joinChunk candidate pairs (or the batch ends) and resolves
+// them, queueing and returning the output (nil when none). A chain walk
+// interrupted by the chunk limit resumes on the next call.
+func (j *HashJoin) probeChunk() (*vector.Batch, error) {
+	semiAnti := j.Type == SemiJoin || j.Type == AntiJoin
+	// Residual-free semi/anti joins are decided by the first key match.
+	oneEnough := j.Residual == nil && semiAnti
+	p := &j.pairs
+	p.reset()
+	n := j.probe.Len()
+	for j.row < n && len(p.candP) < joinChunk {
+		i := j.row
+		if !j.inRow {
+			j.inRow = true
+			j.cur = -1
+			if !nullKey(j.probeKeys, i) { // SQL semantics: NULL keys never match
+				j.cur = j.table.first(j.hashes[i])
+			}
+		}
+		for j.cur >= 0 && len(p.candP) < joinChunk {
+			e := j.cur
+			j.cur = j.table.next[e]
+			if j.table.matches(e, j.hashes[i], j.probeKeys, i) {
+				p.add(i, int(e))
+				if oneEnough {
+					j.cur = -1
+				}
+			}
+		}
+		if j.cur < 0 {
+			p.end(i)
+			j.row++
+			j.inRow = false
+		}
+	}
+	out, err := p.resolve(j.Type, j.Residual, j.probe, j.build.cols, j.matched)
+	if err != nil {
+		return nil, err
+	}
+	if semiAnti && j.inRow && p.rowHit {
+		j.cur = -1 // the row in progress is decided: skip its other candidates
+	}
+	if out != nil {
+		j.pending = append(j.pending, out)
+	}
+	return out, nil
+}
+
+// nullKey reports whether row i has a NULL in any of the key columns.
+func nullKey(keys []*vector.Vector, i int) bool {
+	for _, k := range keys {
 		if k.NullAt(i) {
 			return true
 		}
@@ -401,17 +458,17 @@ func (j *HashJoin) nullKey(i int) bool {
 	return false
 }
 
-// gather builds a batch from the probe rows in probe and, with inner set,
-// the build rows in build (a NULL row where build < 0).
-func (j *HashJoin) gather(probe, build []int, inner bool) *vector.Batch {
-	cols := make([]*vector.Vector, 0, len(j.resSchema.Cols))
-	for _, v := range j.probe.Cols {
+// gatherPairs builds a batch from outer's rows in probe and, with
+// withInner set, the inner columns' rows in build (NULLs where build < 0).
+func gatherPairs(outer *vector.Batch, inner []*vector.Vector, probe, build []int, withInner bool) *vector.Batch {
+	cols := make([]*vector.Vector, 0, len(outer.Cols)+len(inner))
+	for _, v := range outer.Cols {
 		g := vector.New(v.Typ, len(probe))
 		g.AppendFrom(v, probe)
 		cols = append(cols, g)
 	}
-	if inner {
-		for _, v := range j.build.cols {
+	if withInner {
+		for _, v := range inner {
 			cols = append(cols, gatherOrNull(v, build))
 		}
 	}
@@ -500,7 +557,7 @@ func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
 	}
 	mj.Residual = j.Residual
 	j.merge = mj // from here on Close removes the sorters' runs
-	built := j.build.batch(0, j.build.len())
+	built := &vector.Batch{Cols: j.build.cols}
 	j.build, j.table = nil, nil
 	if err := innerS.add(built); err != nil {
 		return err

@@ -13,6 +13,11 @@ import (
 // join keys; the Send/Recv operators even retain sortedness to keep this
 // possible after an exchange). Supports INNER, LEFT OUTER, SEMI and ANTI;
 // the optimizer plans the other flavors as hash joins.
+//
+// It walks the outer batch row by row against a buffered group of inner
+// rows with the current key (a column buffer), records candidate pairs
+// like the hash join, and resolves and gathers them column-wise
+// (joinPairs) whenever the group is about to change.
 type MergeJoin struct {
 	Type      JoinType
 	outer     Operator
@@ -21,17 +26,15 @@ type MergeJoin struct {
 	InnerKeys []int
 	Residual  expr.Expr
 
-	schema    *types.Schema
-	resSchema *types.Schema // outer+inner, for vectorized residual eval
+	schema *types.Schema
 
-	outerRows []types.Row
-	outerPos  int
-	innerRows []types.Row
-	innerPos  int
-	outerDone bool
+	ob        *vector.Batch // current outer batch
+	ib        *vector.Batch // current inner batch
+	irow      int           // next unread inner row
 	innerDone bool
-	pending   []types.Row
-	innerBuf  []types.Row
+	group     *colBuf // the inner rows whose key matches the current outer key
+	pairs     joinPairs
+	pending   []*vector.Batch
 	prof      OpProf
 }
 
@@ -48,8 +51,7 @@ func NewMergeJoin(t JoinType, outer, inner Operator, outerKeys, innerKeys []int)
 	return &MergeJoin{
 		Type: t, outer: outer, inner: inner,
 		OuterKeys: outerKeys, InnerKeys: innerKeys,
-		schema:    joinSchema(t, outer.Schema(), inner.Schema()),
-		resSchema: combinedSchema(outer.Schema(), inner.Schema()),
+		schema: joinSchema(t, outer.Schema(), inner.Schema()),
 	}, nil
 }
 
@@ -66,10 +68,10 @@ func (j *MergeJoin) Describe() string {
 
 // Open implements Operator.
 func (j *MergeJoin) Open(ctx *Ctx) error {
-	j.outerRows, j.innerRows = nil, nil
-	j.outerPos, j.innerPos = 0, 0
-	j.outerDone, j.innerDone = false, false
-	j.pending, j.innerBuf = nil, nil
+	j.ob, j.ib, j.irow, j.innerDone = nil, nil, 0, false
+	j.group = newColBuf(schemaTypes(j.inner.Schema()))
+	j.pairs = joinPairs{}
+	j.pending = nil
 	if err := j.outer.Open(ctx); err != nil {
 		return err
 	}
@@ -78,6 +80,7 @@ func (j *MergeJoin) Open(ctx *Ctx) error {
 
 // Close implements Operator.
 func (j *MergeJoin) Close(ctx *Ctx) error {
+	j.ob, j.ib, j.group, j.pending = nil, nil, nil, nil
 	if err := j.outer.Close(ctx); err != nil {
 		j.inner.Close(ctx)
 		return err
@@ -85,173 +88,134 @@ func (j *MergeJoin) Close(ctx *Ctx) error {
 	return j.inner.Close(ctx)
 }
 
-func (j *MergeJoin) nextOuterRow(ctx *Ctx) (types.Row, error) {
-	for j.outerPos >= len(j.outerRows) && !j.outerDone {
-		b, err := j.outer.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			j.outerDone = true
-			break
-		}
-		j.outerRows = b.Rows()
-		j.outerPos = 0
+// flat returns b with RLE columns expanded and any selection applied.
+func flat(b *vector.Batch) *vector.Batch {
+	if b.Sel != nil {
+		return b.Flatten()
 	}
-	if j.outerPos < len(j.outerRows) {
-		r := j.outerRows[j.outerPos]
-		j.outerPos++
-		return r, nil
-	}
-	return nil, nil
-}
-
-func (j *MergeJoin) peekInnerRow(ctx *Ctx) (types.Row, error) {
-	for j.innerPos >= len(j.innerRows) && !j.innerDone {
-		b, err := j.inner.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			j.innerDone = true
-			break
-		}
-		j.innerRows = b.Rows()
-		j.innerPos = 0
-	}
-	if j.innerPos < len(j.innerRows) {
-		return j.innerRows[j.innerPos], nil
-	}
-	return nil, nil
+	b.ExpandRLE()
+	return b
 }
 
 // next is the operator body behind the profiled Next (profile.go).
 func (j *MergeJoin) next(ctx *Ctx) (*vector.Batch, error) {
 	for len(j.pending) == 0 {
-		or, err := j.nextOuterRow(ctx)
-		if err != nil {
+		b, err := j.outer.Next(ctx)
+		if err != nil || b == nil {
 			return nil, err
 		}
-		if or == nil {
-			return nil, nil
-		}
-		if err := j.joinOne(ctx, or); err != nil {
+		if err := j.joinBatch(ctx, flat(b)); err != nil {
 			return nil, err
 		}
 	}
-	batch := vector.NewBatchForSchema(j.schema, len(j.pending))
-	n := len(j.pending)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
-	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(j.pending[i])
-	}
-	j.pending = j.pending[n:]
-	return batch, nil
+	b := j.pending[0]
+	j.pending = j.pending[1:]
+	return b, nil
 }
 
-func (j *MergeJoin) joinOne(ctx *Ctx, or types.Row) error {
-	cmpKey := func(inner types.Row) int {
-		for i := range j.OuterKeys {
-			c := inner[j.InnerKeys[i]].Compare(or[j.OuterKeys[i]])
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
+// joinBatch joins one outer batch against the inner stream.
+func (j *MergeJoin) joinBatch(ctx *Ctx, ob *vector.Batch) error {
+	j.ob = ob
+	keys := make([]*vector.Vector, len(j.OuterKeys))
+	for k, c := range j.OuterKeys {
+		keys[k] = ob.Cols[c]
 	}
-	nullKey := false
-	for _, k := range j.OuterKeys {
-		if or[k].Null {
-			nullKey = true
-			break
-		}
-	}
-	if !nullKey {
-		// Refresh the buffered inner group if it no longer matches.
-		if len(j.innerBuf) == 0 || cmpKey(j.innerBuf[0]) != 0 {
-			j.innerBuf = j.innerBuf[:0]
-			for {
-				ir, err := j.peekInnerRow(ctx)
-				if err != nil {
+	// Residual-free semi/anti joins are decided by any key-equal row.
+	oneEnough := j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin)
+	j.pairs.reset()
+	for i := 0; i < ob.Len(); i++ {
+		if !nullKey(keys, i) { // SQL semantics: NULL keys never match
+			if j.group.len() == 0 || j.compareGroup(keys, i) != 0 {
+				if len(j.pairs.candP) > 0 { // candidates still point into the group
+					if err := j.flush(); err != nil {
+						return err
+					}
+				}
+				if err := j.loadGroup(ctx, keys, i); err != nil {
 					return err
 				}
-				if ir == nil || cmpKey(ir) > 0 {
+			}
+			for g := 0; g < j.group.len(); g++ {
+				j.pairs.add(i, g)
+				if oneEnough {
 					break
 				}
-				if cmpKey(ir) == 0 {
-					j.innerBuf = append(j.innerBuf, ir)
-				}
-				j.innerPos++
 			}
 		}
-	}
-	matched := false
-	if !nullKey && len(j.innerBuf) > 0 &&
-		j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin) {
-		// Residual-free semi/anti: any row in the key-equal group decides
-		// the outer row — no combined rows to materialize.
-		matched = true
-		if j.Type == SemiJoin {
-			j.pending = append(j.pending, or.Clone())
-		}
-	} else if !nullKey && len(j.innerBuf) > 0 {
-		// Vectorized residual: one Eval over the group's combined batch.
-		cands := make([]types.Row, len(j.innerBuf))
-		for c, ir := range j.innerBuf {
-			cands[c] = append(append(types.Row{}, or...), ir...)
-		}
-		var mask []bool
-		if j.Residual != nil {
-			var err error
-			if mask, err = residualMask(j.Residual, j.resSchema, cands); err != nil {
+		j.pairs.end(i)
+		if len(j.pairs.candP) >= joinChunk {
+			if err := j.flush(); err != nil {
 				return err
 			}
 		}
-		for c := range cands {
-			if mask != nil && !mask[c] {
-				continue
+	}
+	return j.flush()
+}
+
+// flush resolves the recorded pairs against the current group.
+func (j *MergeJoin) flush() error {
+	out, err := j.pairs.resolve(j.Type, j.Residual, j.ob, j.group.cols, nil)
+	j.pairs.reset()
+	if out != nil {
+		j.pending = append(j.pending, out)
+	}
+	return err
+}
+
+// compareGroup orders the group's key against outer row i's key.
+func (j *MergeJoin) compareGroup(keys []*vector.Vector, i int) int {
+	for k, c := range j.InnerKeys {
+		if r := keyCompare(j.group.cols[c], 0, keys[k], i); r != 0 {
+			return r
+		}
+	}
+	return 0
+}
+
+// loadGroup replaces the group with the inner rows whose key equals outer
+// row i's, skipping smaller inner keys (NULL keys sort first and never
+// match).
+func (j *MergeJoin) loadGroup(ctx *Ctx, keys []*vector.Vector, i int) error {
+	j.group.reset()
+	var one [1]int
+	for {
+		if j.ib == nil || j.irow >= j.ib.Len() {
+			if j.innerDone {
+				return nil
 			}
-			matched = true
-			switch j.Type {
-			case SemiJoin:
-				j.pending = append(j.pending, or.Clone())
-			case AntiJoin:
-			default:
-				j.pending = append(j.pending, cands[c])
+			b, err := j.inner.Next(ctx)
+			if err != nil {
+				return err
 			}
-			if j.Type == SemiJoin {
+			if b == nil {
+				j.innerDone = true
+				return nil
+			}
+			j.ib, j.irow = flat(b), 0
+			continue
+		}
+		c := 0
+		for k, col := range j.InnerKeys {
+			if c = keyCompare(j.ib.Cols[col], j.irow, keys[k], i); c != 0 {
 				break
 			}
 		}
-	}
-	if !matched {
-		switch j.Type {
-		case LeftOuterJoin:
-			j.pending = append(j.pending, padRight(or, j.inner.Schema()))
-		case AntiJoin:
-			j.pending = append(j.pending, or.Clone())
+		if c > 0 {
+			return nil
 		}
+		if c == 0 {
+			one[0] = j.irow
+			j.group.appendCols(j.ib.Cols, one[:])
+		}
+		j.irow++
 	}
-	return nil
 }
 
-// residualMask evaluates a residual predicate once, vectorized, over a
-// batch assembled from candidate combined rows (the merge join's key
-// group), returning the keep mask.
-func residualMask(res expr.Expr, schema *types.Schema, rows []types.Row) ([]bool, error) {
-	b := vector.NewBatchForSchema(schema, len(rows))
-	for _, r := range rows {
-		b.AppendRow(r)
+// keyCompare orders entry i of a against entry j of b, join keys of
+// possibly different numeric types.
+func keyCompare(a *vector.Vector, i int, b *vector.Vector, j int) int {
+	if a.Typ == b.Typ || (intClass(a.Typ) && intClass(b.Typ)) {
+		return colCompare(a, i, b, j)
 	}
-	return evalMask(res, b)
-}
-
-func padRight(outer types.Row, inner *types.Schema) types.Row {
-	row := append(types.Row{}, outer...)
-	for _, c := range inner.Cols {
-		row = append(row, types.NewNull(c.Typ))
-	}
-	return row
+	return a.ValueAt(i).Compare(b.ValueAt(j))
 }

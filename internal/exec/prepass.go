@@ -184,7 +184,7 @@ func (p *Prepass) flushTable() {
 		return
 	}
 	p.emit(p.st.partialBatch())
-	p.st = newGroupState(p.keyTypes, p.Aggs, true)
+	p.st.clear(p.keyTypes, p.Aggs, true)
 }
 
 // emit queues partial rows in batch-sized slices.

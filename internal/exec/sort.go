@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -32,37 +33,35 @@ func compareRows(a, b types.Row, specs []SortSpec) int {
 	return 0
 }
 
-// colCompare orders physical entries i and j of a flat vector (NULLS
-// FIRST; -0.0 equals 0.0).
-func colCompare(v *vector.Vector, i, j int) int {
-	if v.Nulls != nil {
-		switch ni, nj := v.Nulls[i], v.Nulls[j]; {
-		case ni && nj:
-			return 0
-		case ni:
-			return -1
-		case nj:
-			return 1
-		}
+// colCompare orders entry i of a against entry j of b, two flat vectors
+// of one type (NULLS FIRST; -0.0 equals 0.0).
+func colCompare(a *vector.Vector, i int, b *vector.Vector, j int) int {
+	switch ni, nj := a.NullAt(i), b.NullAt(j); {
+	case ni && nj:
+		return 0
+	case ni:
+		return -1
+	case nj:
+		return 1
 	}
-	switch v.Typ {
+	switch a.Typ {
 	case types.Float64:
-		a, b := v.Floats[i], v.Floats[j]
+		x, y := a.Floats[i], b.Floats[j]
 		switch {
-		case a < b:
+		case x < y:
 			return -1
-		case a > b:
+		case x > y:
 			return 1
 		}
 		return 0
 	case types.Varchar:
-		return strings.Compare(v.Strs[i], v.Strs[j])
+		return strings.Compare(a.Strs[i], b.Strs[j])
 	default:
-		a, b := v.Ints[i], v.Ints[j]
+		x, y := a.Ints[i], b.Ints[j]
 		switch {
-		case a < b:
+		case x < y:
 			return -1
-		case a > b:
+		case x > y:
 			return 1
 		}
 		return 0
@@ -113,6 +112,7 @@ func (s *Sort) Open(ctx *Ctx) error {
 // Close implements Operator.
 func (s *Sort) Close(ctx *Ctx) error {
 	s.s.close()
+	s.s = nil
 	return s.closeChild(ctx)
 }
 
@@ -143,18 +143,21 @@ func (s *Sort) next(ctx *Ctx) (*vector.Batch, error) {
 }
 
 // sorter orders a batch stream with bounded memory: the Sort operator's
-// engine, and the hash join's after a switch to sort-merge. Rows buffer
-// column-wise; each also gets a sortEntry holding its first sort key
-// normalised to a uint64 whose unsigned order is the key's order, so most
-// comparisons of the permutation sort never touch the columns. Over budget
-// (and denied more), it sorts what it holds and spills it as a run in the
-// row spill format.
+// engine, and the hash join's after a switch to sort-merge. Each input
+// batch is copied, compacted, into a chunk of typed columns. Sorting
+// builds one sortEntry per row — its first sort key normalised to a uint64
+// whose unsigned order is the key's order, so most comparisons never touch
+// the columns — and orders them with slices.SortFunc; output is gathered
+// column-wise from the chunks. Over budget (and denied more), the sorter
+// sorts what it holds and spills it as a run in the row spill format.
 type sorter struct {
 	ctx     *Ctx
 	prof    *OpProf // the owning operator's collector
 	specs   []SortSpec
 	typs    []types.Type
-	buf     *colBuf
+	chunks  []*vector.Batch
+	rows    int
+	bytes   int64 // the chunks' footprint, string payloads included
 	ents    []sortEntry
 	memUsed int64
 	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
@@ -166,16 +169,19 @@ type sorter struct {
 }
 
 // sortEntry is one buffered row in the permutation: its normalised first
-// key and its row index in the buffer.
+// key and where it is stored.
 type sortEntry struct {
-	key uint64
-	row int32
+	key   uint64
+	chunk int32
+	row   int32
 }
 
+// sortEntryBytes is a sortEntry's size: the permutation is charged from
+// the first row on, as the sort will need it.
+const sortEntryBytes = 16
+
 func newSorter(ctx *Ctx, prof *OpProf, specs []SortSpec, schema *types.Schema) *sorter {
-	s := &sorter{ctx: ctx, prof: prof, specs: specs, typs: schemaTypes(schema), budget: ctx.MemBudget}
-	s.buf = newColBuf(s.typs)
-	return s
+	return &sorter{ctx: ctx, prof: prof, specs: specs, typs: schemaTypes(schema), budget: ctx.MemBudget}
 }
 
 // normKey maps physical entry r of v to a uint64 ordered like the value:
@@ -216,13 +222,22 @@ func normKey(v *vector.Vector, r int, desc bool) uint64 {
 // add buffers a batch and charges the buffer to the budget, renegotiating
 // the grant at the threshold and spilling a sorted run on denial.
 func (s *sorter) add(in *vector.Batch) error {
-	base := s.buf.len()
-	s.buf.appendBatch(in)
-	first := s.buf.cols[s.specs[0].Col]
-	for r := base; r < s.buf.len(); r++ {
-		s.ents = append(s.ents, sortEntry{key: normKey(first, r, s.specs[0].Desc), row: int32(r)})
+	in.ExpandRLE()
+	n := in.Len()
+	if n == 0 {
+		return nil
 	}
-	s.memUsed = s.buf.bytes() + int64(cap(s.ents))*16
+	c := newBatchOf(s.typs, n)
+	for i, v := range in.Cols {
+		c.Cols[i].AppendFrom(v, in.Sel)
+		for _, str := range c.Cols[i].Strs {
+			s.bytes += int64(len(str))
+		}
+	}
+	s.chunks = append(s.chunks, c)
+	s.rows += n
+	s.bytes += batchBytes(c) + 8 // and its slot in chunks
+	s.memUsed = int64(unsafe.Sizeof(*s)) + s.bytes + int64(s.rows)*sortEntryBytes
 	s.ctx.noteAlloc(s.prof, s.memUsed)
 	for s.memUsed > s.budget {
 		if ext := s.ctx.extendBudget(s.budget, s.memUsed); ext > 0 {
@@ -234,10 +249,17 @@ func (s *sorter) add(in *vector.Batch) error {
 	return nil
 }
 
-// sortEntries orders the permutation: normalised first key, then the
-// columns, then the row index, which keeps the sort stable.
+// sortEntries builds and orders the permutation: normalised first key,
+// then the key columns, then arrival order, which keeps the sort stable.
 func (s *sorter) sortEntries() {
-	cols := s.buf.cols
+	first := s.specs[0]
+	s.ents = make([]sortEntry, 0, s.rows)
+	for ci, c := range s.chunks {
+		v := c.Cols[first.Col]
+		for r := 0; r < v.PhysLen(); r++ {
+			s.ents = append(s.ents, sortEntry{key: normKey(v, r, first.Desc), chunk: int32(ci), row: int32(r)})
+		}
+	}
 	slices.SortFunc(s.ents, func(a, b sortEntry) int {
 		if a.key != b.key {
 			if a.key < b.key {
@@ -245,24 +267,27 @@ func (s *sorter) sortEntries() {
 			}
 			return 1
 		}
+		ca, cb := s.chunks[a.chunk].Cols, s.chunks[b.chunk].Cols
 		for _, sp := range s.specs {
-			if c := colCompare(cols[sp.Col], int(a.row), int(b.row)); c != 0 {
+			if c := colCompare(ca[sp.Col], int(a.row), cb[sp.Col], int(b.row)); c != 0 {
 				if sp.Desc {
 					return -c
 				}
 				return c
 			}
 		}
+		if a.chunk != b.chunk {
+			return int(a.chunk - b.chunk)
+		}
 		return int(a.row - b.row)
 	})
 }
 
-// sortedRows returns the buffer's rows in sorted order (the spill path).
+// sortedRows returns the buffered rows in sorted order (the spill path).
 func (s *sorter) sortedRows() []types.Row {
-	b := s.buf.batch(0, s.buf.len())
 	rows := make([]types.Row, len(s.ents))
 	for i, e := range s.ents {
-		rows[i] = b.Row(int(e.row))
+		rows[i] = s.chunks[e.chunk].Row(int(e.row))
 	}
 	return rows
 }
@@ -276,7 +301,6 @@ func (s *sorter) spill() error {
 	if err != nil {
 		return err
 	}
-	b := s.buf.batch(0, s.buf.len())
 	row := make(types.Row, len(s.typs))
 	for i, e := range s.ents {
 		// Poll cancellation mid-spill: a run can be long and the whole
@@ -287,7 +311,7 @@ func (s *sorter) spill() error {
 				return err
 			}
 		}
-		for c, v := range b.Cols {
+		for c, v := range s.chunks[e.chunk].Cols {
 			row[c] = v.ValueAt(int(e.row))
 		}
 		if err := w.writeRow(row); err != nil {
@@ -301,9 +325,8 @@ func (s *sorter) spill() error {
 		return err
 	}
 	s.runs = append(s.runs, rd)
-	s.buf = newColBuf(s.typs)
-	s.ents = nil
-	s.memUsed = 0
+	s.chunks, s.ents = nil, nil
+	s.rows, s.bytes, s.memUsed = 0, 0, 0
 	s.ctx.noteSpill(s.prof, rd.bytes, "SORT_SPILLED")
 	return nil
 }
@@ -313,9 +336,9 @@ func (s *sorter) spill() error {
 // time, which the budget is charged for too.
 func (s *sorter) finish() error {
 	s.sortEntries()
-	if n := len(s.ents); n > 0 {
-		rowBytes := s.buf.bytes() / int64(cap(s.ents))
-		s.memUsed += rowBytes * int64(min(n, vector.DefaultBatchSize))
+	if s.rows > 0 {
+		s.memUsed = int64(unsafe.Sizeof(*s)) + s.bytes + allocBytes(int64(cap(s.ents))*sortEntryBytes) +
+			s.bytes/int64(s.rows)*int64(min(s.rows, vector.DefaultBatchSize))
 		s.ctx.noteAlloc(s.prof, s.memUsed)
 		for s.memUsed > s.budget {
 			ext := s.ctx.extendBudget(s.budget, s.memUsed)
@@ -344,7 +367,7 @@ func (s *sorter) finish() error {
 		}
 	}
 	heap.Init(s.merge)
-	s.buf, s.ents = nil, nil
+	s.chunks, s.ents = nil, nil
 	return nil
 }
 
@@ -367,17 +390,44 @@ func (s *sorter) next() (*vector.Batch, error) {
 	if s.pos >= len(s.ents) {
 		return nil, nil
 	}
-	hi := min(s.pos+vector.DefaultBatchSize, len(s.ents))
-	sel := make([]int, hi-s.pos)
-	for i := range sel {
-		sel[i] = int(s.ents[s.pos+i].row)
-	}
-	s.pos = hi
-	out := newBatchOf(s.typs, len(sel))
-	for c, v := range s.buf.cols {
-		out.Cols[c].AppendFrom(v, sel)
+	ents := s.ents[s.pos:min(s.pos+vector.DefaultBatchSize, len(s.ents))]
+	s.pos += len(ents)
+	out := &vector.Batch{Cols: make([]*vector.Vector, len(s.typs))}
+	for c := range s.typs {
+		out.Cols[c] = s.gather(c, ents)
 	}
 	return out, nil
+}
+
+// gather returns column c of the entries' rows.
+func (s *sorter) gather(c int, ents []sortEntry) *vector.Vector {
+	out := &vector.Vector{Typ: s.typs[c]}
+	switch out.Typ {
+	case types.Float64:
+		out.Floats = make([]float64, len(ents))
+		for i, e := range ents {
+			out.Floats[i] = s.chunks[e.chunk].Cols[c].Floats[e.row]
+		}
+	case types.Varchar:
+		out.Strs = make([]string, len(ents))
+		for i, e := range ents {
+			out.Strs[i] = s.chunks[e.chunk].Cols[c].Strs[e.row]
+		}
+	default:
+		out.Ints = make([]int64, len(ents))
+		for i, e := range ents {
+			out.Ints[i] = s.chunks[e.chunk].Cols[c].Ints[e.row]
+		}
+	}
+	for i, e := range ents {
+		if s.chunks[e.chunk].Cols[c].NullAt(int(e.row)) {
+			if out.Nulls == nil {
+				out.Nulls = make([]bool, len(ents))
+			}
+			out.Nulls[i] = true
+		}
+	}
+	return out
 }
 
 func (s *sorter) close() {

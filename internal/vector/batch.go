@@ -145,8 +145,16 @@ func (b *Batch) SliceRows(lo, hi int) *Batch {
 // Hashes returns one HashRow-compatible hash per live row over the key
 // columns, computed column at a time. RLE key columns hash once per run
 // (the paper's "operate directly on encoded data").
-func (b *Batch) Hashes(keys []int) []uint64 {
-	out := make([]uint64, b.Len())
+func (b *Batch) Hashes(keys []int) []uint64 { return b.HashesInto(keys, nil) }
+
+// HashesInto is Hashes writing into buf's storage when it is large enough
+// (operators reuse one buffer from batch to batch).
+func (b *Batch) HashesInto(keys []int, buf []uint64) []uint64 {
+	out := buf[:0]
+	if cap(out) < b.Len() {
+		out = make([]uint64, b.Len())
+	}
+	out = out[:b.Len()]
 	for i := range out {
 		out[i] = types.HashSeed
 	}
