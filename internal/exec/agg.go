@@ -129,92 +129,6 @@ func sanitizeAggName(n string) string {
 	return n
 }
 
-// aggAcc is one running aggregate over a row stream: the analytic
-// (window) functions' accumulator. GroupBy and Prepass keep their
-// per-group state column-wise in aggCol instead.
-type aggAcc struct {
-	kind  AggKind
-	typ   types.Type
-	count int64
-	sumI  int64
-	sumF  float64
-	minV  types.Value
-	maxV  types.Value
-	seen  bool
-}
-
-// update folds one input value into the accumulator (v ignored for
-// COUNT(*)).
-func (a *aggAcc) update(v types.Value) {
-	switch a.kind {
-	case AggCountStar:
-		a.count++
-	case AggCount:
-		if !v.Null {
-			a.count++
-		}
-	case AggSum, AggAvg:
-		if v.Null {
-			return
-		}
-		a.seen = true
-		a.count++
-		if v.Typ == types.Float64 {
-			a.sumF += v.F
-		} else {
-			a.sumI += v.I
-			a.sumF += float64(v.I)
-		}
-	case AggMin:
-		if v.Null {
-			return
-		}
-		if !a.seen || v.Compare(a.minV) < 0 {
-			a.minV = v
-		}
-		a.seen = true
-	case AggMax:
-		if v.Null {
-			return
-		}
-		if !a.seen || v.Compare(a.maxV) > 0 {
-			a.maxV = v
-		}
-		a.seen = true
-	}
-}
-
-// final produces the aggregate's result value.
-func (a *aggAcc) final() types.Value {
-	switch a.kind {
-	case AggCountStar, AggCount:
-		return types.NewInt(a.count)
-	case AggSum:
-		if !a.seen {
-			return types.NewNull(a.typ)
-		}
-		if a.typ == types.Float64 {
-			return types.NewFloat(a.sumF)
-		}
-		return types.Value{Typ: a.typ, I: a.sumI}
-	case AggAvg:
-		if !a.seen {
-			return types.NewNull(types.Float64)
-		}
-		return types.NewFloat(a.sumF / float64(a.count))
-	case AggMin:
-		if !a.seen {
-			return types.NewNull(a.typ)
-		}
-		return a.minV
-	default: // AggMax
-		if !a.seen {
-			return types.NewNull(a.typ)
-		}
-		return a.maxV
-	}
-}
-
 // aggCol is one aggregate's state for every group of a GroupBy or
 // Prepass, struct-of-arrays: element g of each slice belongs to group g.
 // A kind uses only the slices it needs:
@@ -244,11 +158,18 @@ type distinctKey struct {
 }
 
 func newAggCol(spec *AggSpec) *aggCol {
-	a := &aggCol{kind: spec.Kind}
+	typ := types.Int64
 	if spec.Arg != nil {
-		a.typ = spec.Arg.Type()
+		typ = spec.Arg.Type()
 	}
-	switch spec.Kind {
+	return newAggColOf(spec.Kind, typ)
+}
+
+// newAggColOf is an aggregate of the given kind over arguments of type
+// typ.
+func newAggColOf(kind AggKind, typ types.Type) *aggCol {
+	a := &aggCol{kind: kind, typ: typ}
+	switch kind {
 	case AggMin, AggMax:
 		a.ext = vector.New(a.typ, 0)
 	case AggCountDistinct:

@@ -254,23 +254,30 @@ func (a *Analytic) runningAgg(part []types.Row, spec *AnalyticSpec) error {
 		return fmt.Errorf("exec: unsupported analytic %s", spec.Kind)
 	}
 	argType := types.Int64
+	var args []*vector.Vector
 	if spec.ArgCol >= 0 {
 		argType = part[0][spec.ArgCol].Typ
 		if argType == types.Invalid {
 			argType = a.child.Schema().Col(spec.ArgCol).Typ
 		}
+		arg := vector.New(argType, len(part))
+		for _, r := range part {
+			arg.AppendValue(r[spec.ArgCol])
+		}
+		args = []*vector.Vector{arg}
+	}
+	// One group (id 0) accumulates the frame; its result is read after
+	// each step.
+	acc := newAggColOf(aggKind, argType)
+	acc.grow(1)
+	ids := make([]int32, len(part))
+	fold := func(lo, hi int) types.Value {
+		acc.fold(ids, lo, hi, args, false)
+		return acc.final(0, 1).ValueAt(0)
 	}
 	if len(spec.OrderBy) == 0 {
 		// Whole-partition aggregate: one value for every row.
-		acc := &aggAcc{kind: aggKind, typ: argType}
-		for i := range part {
-			if spec.ArgCol >= 0 {
-				acc.update(part[i][spec.ArgCol])
-			} else {
-				acc.update(types.Value{})
-			}
-		}
-		v := acc.final()
+		v := fold(0, len(part))
 		for i := range part {
 			part[i] = append(part[i], v)
 		}
@@ -278,19 +285,13 @@ func (a *Analytic) runningAgg(part []types.Row, spec *AnalyticSpec) error {
 	}
 	// Running aggregate with peer-row semantics: rows tied in the window
 	// order share the frame end (RANGE UNBOUNDED PRECEDING .. CURRENT ROW).
-	acc := &aggAcc{kind: aggKind, typ: argType}
 	i := 0
 	for i < len(part) {
-		j := i
+		j := i + 1
 		for j < len(part) && compareRows(part[i], part[j], spec.OrderBy) == 0 {
-			if spec.ArgCol >= 0 {
-				acc.update(part[j][spec.ArgCol])
-			} else {
-				acc.update(types.Value{})
-			}
 			j++
 		}
-		v := acc.final()
+		v := fold(i, j)
 		for k := i; k < j; k++ {
 			part[k] = append(part[k], v)
 		}

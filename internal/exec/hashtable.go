@@ -127,15 +127,6 @@ func batchBytes(b *vector.Batch) int64 {
 	return n
 }
 
-// batch returns rows [lo, hi) as a batch sharing the buffer's storage.
-func (b *colBuf) batch(lo, hi int) *vector.Batch {
-	out := &vector.Batch{Cols: make([]*vector.Vector, len(b.cols))}
-	for i, v := range b.cols {
-		out.Cols[i] = v.Slice(lo, hi)
-	}
-	return out
-}
-
 // rowsEqual compares row i of columns a with row j of columns b under
 // grouping equality: NULL equals NULL, -0.0 equals 0.0.
 func rowsEqual(a []*vector.Vector, i int, b []*vector.Vector, j int) bool {

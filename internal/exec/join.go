@@ -68,8 +68,7 @@ type HashJoin struct {
 	// SIP, when set, receives the build-side key set (see sip.go).
 	SIP *SIPFilter
 
-	schema    *types.Schema
-	resSchema *types.Schema // outer+inner, for vectorized residual eval
+	schema *types.Schema
 
 	build   *colBuf    // the inner rows
 	table   *hashTable // over build's key columns
@@ -100,16 +99,7 @@ func NewHashJoin(t JoinType, outer, inner Operator, outerKeys, innerKeys []int) 
 	}
 	j := &HashJoin{Type: t, outer: outer, inner: inner, OuterKeys: outerKeys, InnerKeys: innerKeys}
 	j.schema = joinSchema(t, outer.Schema(), inner.Schema())
-	j.resSchema = combinedSchema(outer.Schema(), inner.Schema())
 	return j, nil
-}
-
-// combinedSchema is the residual predicate's evaluation schema: outer
-// columns then inner columns, regardless of join type (semi/anti joins drop
-// the inner columns from their output but residuals still see them).
-func combinedSchema(outer, inner *types.Schema) *types.Schema {
-	cols := append(append([]types.Column{}, outer.Cols...), inner.Cols...)
-	return types.NewSchema(cols...)
 }
 
 // evalMask evaluates a predicate over a batch: true where it holds.
