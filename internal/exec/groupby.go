@@ -306,7 +306,7 @@ func (g *GroupBy) spillGroups(ctx *Ctx) error {
 		return err
 	}
 	g.spills = append(g.spills, r)
-	g.st = newGroupState(g.keyTypes, g.Aggs, true)
+	g.st.clear(g.keyTypes, g.Aggs, true)
 	ctx.noteSpill(&g.prof, r.bytes, "GROUP_BY_SPILLED")
 	return nil
 }

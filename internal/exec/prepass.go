@@ -80,7 +80,10 @@ func (p *Prepass) Open(ctx *Ctx) error {
 }
 
 // Close implements Operator.
-func (p *Prepass) Close(ctx *Ctx) error { return p.closeChild(ctx) }
+func (p *Prepass) Close(ctx *Ctx) error {
+	p.st, p.pending = nil, nil
+	return p.closeChild(ctx)
+}
 
 // next is the operator body behind the profiled Next (profile.go).
 func (p *Prepass) next(ctx *Ctx) (*vector.Batch, error) {

@@ -232,7 +232,7 @@ func planHashJoin(plan *PhysicalPlan, opts PlanOpts, jt exec.JoinType, fact *tab
 	// SIP (paper §6.1): push a build-side key filter into the scan
 	// owning every outer key, for join types that discard
 	// unmatched probe rows.
-	if !opts.NoSIP && (jt == exec.InnerJoin || jt == exec.SemiJoin || jt == exec.RightOuterJoin) {
+	if !opts.NoSIP && (jt == exec.InnerJoin || jt == exec.SemiJoin) {
 		if sip := trySIP(fact, outerKeys, dimDesc); sip != nil {
 			hj.SIP = sip
 			plan.Notes = append(plan.Notes, "SIP filter pushed to scan of "+fact.proj.Name)
