@@ -175,7 +175,7 @@ func recordQuery(q *optimizer.LogicalQuery, get func(string) *tableInterest) {
 	for _, tr := range q.From {
 		get(tr.Table.Name).queries++
 	}
-	for _, c := range expr.Conjuncts(q.Where) {
+	for _, c := range expr.Conjuncts(expr.MustAnd(q.Where, q.On)) {
 		cols := expr.ColumnsOf(c)
 		if len(cols) == 0 {
 			continue

@@ -189,3 +189,17 @@ func TestDesignWithoutSamples(t *testing.T) {
 		}
 	}
 }
+
+func TestDesignRecordsOnConjuncts(t *testing.T) {
+	cat := designCatalog(t)
+	interest, err := analyzeWorkload(cat, []string{
+		`SELECT name FROM sales JOIN customers ON cust = cust_id AND price > 10.0`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := interest["sales"]
+	if s.rangeCols["price"] != 1 || !s.usedCols["price"] {
+		t.Errorf("a non-equality ON conjunct must count as a range predicate: range=%v used=%v", s.rangeCols, s.usedCols)
+	}
+}

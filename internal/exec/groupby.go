@@ -428,15 +428,13 @@ func (g *GroupBy) tryRLEDirect(in *vector.Batch) bool {
 // aggregates, which have exactly one group and no table), and one aggCol
 // per aggregate. Groups are numbered 0..n-1 in arrival order.
 type groupState struct {
-	keys   []*vector.Vector // group-indexed key columns
-	table  *hashTable       // nil in one-pass mode and without keys
+	keys   *colBuf    // group-indexed key columns
+	table  *hashTable // nil in one-pass mode and without keys
 	aggs   []*aggCol
 	n      int
 	keyIdx []int
 	ids    []int32  // per row of the current batch: its group
 	hashes []uint64 // per row of the current batch: its key hash
-	// keyStr counts string key payloads appended outside the table.
-	keyStr int64
 }
 
 func newGroupState(keyTypes []types.Type, aggs []AggSpec, hashed bool) *groupState {
@@ -451,19 +449,16 @@ func newGroupState(keyTypes []types.Type, aggs []AggSpec, hashed bool) *groupSta
 // clear drops every group, keeping the current batch's scratch: emitted
 // or spilled groups still share the old key and aggregate storage.
 func (st *groupState) clear(keyTypes []types.Type, aggs []AggSpec, hashed bool) {
-	st.keys = make([]*vector.Vector, len(keyTypes))
-	for i, t := range keyTypes {
-		st.keys[i] = vector.New(t, 0)
-	}
+	st.keys = newColBuf(keyTypes)
 	st.table = nil
 	if hashed && len(keyTypes) > 0 {
-		st.table = newHashTable(st.keys)
+		st.table = newHashTable(st.keys.cols)
 	}
 	st.aggs = st.aggs[:0:0]
 	for i := range aggs {
 		st.aggs = append(st.aggs, newAggCol(&aggs[i]))
 	}
-	st.n, st.keyStr = 0, 0
+	st.n = 0
 }
 
 // grow extends every aggregate to n groups.
@@ -488,7 +483,7 @@ func (st *groupState) assign(n int, keys []*vector.Vector, from, limit int) int 
 		st.ids = extend(st.ids[:0], n)
 	}
 	switch {
-	case len(st.keys) == 0:
+	case len(st.keys.cols) == 0:
 		st.grow(1)
 		clear(st.ids)
 		return n
@@ -496,7 +491,7 @@ func (st *groupState) assign(n int, keys []*vector.Vector, from, limit int) int 
 		if from == 0 {
 			st.hashes = vector.NewBatch(keys...).HashesInto(st.keyIdx, st.hashes)
 		}
-		end := st.table.findOrInsert(keys, st.hashes, from, st.ids, limit)
+		end := st.table.findOrInsert(st.keys, keys, st.hashes, from, st.ids, limit)
 		st.grow(st.table.len())
 		return end
 	default:
@@ -512,13 +507,11 @@ func (st *groupState) assign(n int, keys []*vector.Vector, from, limit int) int 
 // nextSorted starts a new group for physical entry i of the key columns
 // unless it equals the latest group's key (one-pass mode).
 func (st *groupState) nextSorted(keys []*vector.Vector, i int) {
-	if st.n > 0 && rowsEqual(st.keys, st.n-1, keys, i) {
+	if st.n > 0 && rowsEqual(st.keys.cols, st.n-1, keys, i) {
 		return
 	}
 	for k, v := range keys {
-		val := v.ValueAt(i)
-		st.keys[k].AppendValue(val)
-		st.keyStr += int64(len(val.S))
+		st.keys.appendValue(k, v.ValueAt(i))
 	}
 	st.n++
 }
@@ -532,14 +525,9 @@ func (st *groupState) fold(lo, hi int, args [][]*vector.Vector, merge bool) {
 
 // bytes is the state's footprint.
 func (st *groupState) bytes() int64 {
-	n := int64(unsafe.Sizeof(*st))
+	n := int64(unsafe.Sizeof(*st)) + int64(unsafe.Sizeof(*st.keys)) + st.keys.bytes()
 	if st.table != nil {
-		n += int64(unsafe.Sizeof(*st.table)) + st.table.bytes(true)
-	} else {
-		n += st.keyStr
-		for _, v := range st.keys {
-			n += vecBytes(v)
-		}
+		n += int64(unsafe.Sizeof(*st.table)) + st.table.bytes()
 	}
 	for _, a := range st.aggs {
 		n += a.bytes()
@@ -549,7 +537,7 @@ func (st *groupState) bytes() int64 {
 
 // finalBatch returns every group: key columns then aggregate results.
 func (st *groupState) finalBatch() *vector.Batch {
-	out := &vector.Batch{Cols: append([]*vector.Vector(nil), st.keys...)}
+	out := &vector.Batch{Cols: append([]*vector.Vector(nil), st.keys.cols...)}
 	for _, a := range st.aggs {
 		out.Cols = append(out.Cols, a.final(0, st.n))
 	}
@@ -558,7 +546,7 @@ func (st *groupState) finalBatch() *vector.Batch {
 
 // partialBatch returns every group: key columns then partial columns.
 func (st *groupState) partialBatch() *vector.Batch {
-	out := &vector.Batch{Cols: append([]*vector.Vector(nil), st.keys...)}
+	out := &vector.Batch{Cols: append([]*vector.Vector(nil), st.keys.cols...)}
 	for _, a := range st.aggs {
 		out.Cols = append(out.Cols, a.partial(0, st.n)...)
 	}
@@ -574,7 +562,7 @@ func (st *groupState) sortedPartialRows() []types.Row {
 		perm[i] = i
 	}
 	slices.SortFunc(perm, func(x, y int) int {
-		for _, k := range st.keys {
+		for _, k := range st.keys.cols {
 			if c := colCompare(k, x, k, y); c != 0 {
 				return c
 			}

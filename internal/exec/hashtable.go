@@ -71,6 +71,12 @@ func (b *colBuf) appendCols(src []*vector.Vector, sel []int) {
 	}
 }
 
+// appendValue appends one value to column c.
+func (b *colBuf) appendValue(c int, val types.Value) {
+	b.cols[c].AppendValue(val)
+	b.strBytes += int64(len(val.S))
+}
+
 // reset empties the buffer, keeping its capacity.
 func (b *colBuf) reset() {
 	for _, v := range b.cols {
@@ -159,9 +165,10 @@ func valuesEqual(a *vector.Vector, i int, b *vector.Vector, j int) bool {
 }
 
 // hashTable maps keys to dense entry ids. keys holds entry-indexed key
-// columns: GroupBy and Prepass own them (new keys are appended as groups
-// appear), HashJoin points them at its build buffer's key columns and
-// links every build row as its own entry.
+// columns, which belong to a colBuf of the caller: GroupBy and Prepass
+// pass theirs to findOrInsert, which appends new keys as groups appear;
+// HashJoin points keys at its build buffer's key columns and links every
+// build row as its own entry.
 type hashTable struct {
 	keys   []*vector.Vector
 	hashes []uint64 // per entry
@@ -170,8 +177,6 @@ type hashTable struct {
 	shift  uint     // 64 - log2(len(heads))
 	// int1 marks the fast path: one integer-family key column.
 	int1 bool
-	// strBytes counts string key payloads the table owns.
-	strBytes int64
 }
 
 func newHashTable(keys []*vector.Vector) *hashTable {
@@ -254,10 +259,11 @@ func (t *hashTable) addLinked(hashes []uint64) {
 
 // findOrInsert assigns rows from.. of the key columns their entry ids in
 // ids, appending a new entry for each key not yet present (grouping
-// equality: NULLs group together). With limit > 0 it stops at the first
+// equality: NULLs group together) to dst, the buffer whose columns the
+// table indexes. With limit > 0 it stops at the first
 // row whose insertion would grow the table past limit entries, and
 // returns that row; otherwise it returns len(hashes).
-func (t *hashTable) findOrInsert(cols []*vector.Vector, hashes []uint64, from int, ids []int32, limit int) int {
+func (t *hashTable) findOrInsert(dst *colBuf, cols []*vector.Vector, hashes []uint64, from int, ids []int32, limit int) int {
 	one := []int{0}
 	for i := from; i < len(hashes); i++ {
 		h := hashes[i]
@@ -271,12 +277,7 @@ func (t *hashTable) findOrInsert(cols []*vector.Vector, hashes []uint64, from in
 			}
 			e = int32(t.len())
 			one[0] = i
-			for k, v := range cols {
-				t.keys[k].AppendFrom(v, one)
-				if v.Typ == types.Varchar {
-					t.strBytes += int64(len(v.Strs[i]))
-				}
-			}
+			dst.appendCols(cols, one)
 			t.hashes = append(t.hashes, h)
 			t.next = append(t.next, -1)
 			t.linkFrom(int(e))
@@ -286,14 +287,7 @@ func (t *hashTable) findOrInsert(cols []*vector.Vector, hashes []uint64, from in
 	return len(hashes)
 }
 
-// bytes is the index's footprint plus, when ownKeys, its key columns.
-func (t *hashTable) bytes(ownKeys bool) int64 {
-	n := allocBytes(int64(cap(t.hashes))*8) + allocBytes(int64(cap(t.next))*4) + allocBytes(int64(cap(t.heads))*4)
-	if ownKeys {
-		n += t.strBytes
-		for _, v := range t.keys {
-			n += vecBytes(v)
-		}
-	}
-	return n
+// bytes is the index's footprint; the key columns are their buffer's.
+func (t *hashTable) bytes() int64 {
+	return allocBytes(int64(cap(t.hashes))*8) + allocBytes(int64(cap(t.next))*4) + allocBytes(int64(cap(t.heads))*4)
 }

@@ -180,7 +180,7 @@ func (j *HashJoin) Close(ctx *Ctx) error {
 
 // memBytes is the build side's footprint, the operator's own included.
 func (j *HashJoin) memBytes() int64 {
-	return int64(unsafe.Sizeof(*j)) + j.build.bytes() + j.table.bytes(false) + int64(cap(j.matched))
+	return int64(unsafe.Sizeof(*j)) + j.build.bytes() + j.table.bytes() + int64(cap(j.matched))
 }
 
 // buildTable drains the inner input into the hash table, renegotiating the

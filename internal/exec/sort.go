@@ -228,15 +228,11 @@ func (s *sorter) add(in *vector.Batch) error {
 		return nil
 	}
 	c := newBatchOf(s.typs, n)
-	for i, v := range in.Cols {
-		c.Cols[i].AppendFrom(v, in.Sel)
-		for _, str := range c.Cols[i].Strs {
-			s.bytes += int64(len(str))
-		}
-	}
+	buf := colBuf{cols: c.Cols}
+	buf.appendCols(in.Cols, in.Sel)
 	s.chunks = append(s.chunks, c)
 	s.rows += n
-	s.bytes += batchBytes(c) + 8 // and its slot in chunks
+	s.bytes += buf.strBytes + batchBytes(c) + 8 // and its slot in chunks
 	s.memUsed = int64(unsafe.Sizeof(*s)) + s.bytes + int64(s.rows)*sortEntryBytes
 	s.ctx.noteAlloc(s.prof, s.memUsed)
 	for s.memUsed > s.budget {

@@ -91,13 +91,18 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 	// Star-style join ordering (paper §6.2): the largest table is the fact;
 	// dimensions join in increasing effective size (selectivity x rows) so
 	// the most selective dimensions filter first.
-	// A two-table outer, semi or anti join probes with the table its type
-	// preserves instead: the first one, or the second of a RIGHT JOIN,
-	// which is then planned as the equivalent LEFT JOIN.
+	// A two-table LEFT, RIGHT, semi or anti join probes with the table its
+	// type preserves instead: the first one, or the second of a RIGHT JOIN,
+	// which is then planned as the equivalent LEFT JOIN. FULL OUTER is
+	// symmetric, so it keeps the largest-table-probes rule.
+	jt0 := exec.InnerJoin
+	if len(q.From) == 2 && len(q.JoinConds) > 0 {
+		jt0 = q.JoinConds[0].Type
+	}
 	factIdx := 0
-	if len(q.From) == 2 && len(q.JoinConds) > 0 && q.JoinConds[0].Type == exec.RightOuterJoin {
+	if jt0 == exec.RightOuterJoin {
 		factIdx = 1
-	} else if len(q.From) != 2 || len(q.JoinConds) == 0 || q.JoinConds[0].Type == exec.InnerJoin {
+	} else if jt0 == exec.InnerJoin || jt0 == exec.FullOuterJoin {
 		for i, ts := range scans {
 			if ts.rows > scans[factIdx].rows {
 				factIdx = i
@@ -150,12 +155,9 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			outerKeys = append(outerKeys, out)
 			innerKeys = append(innerKeys, dim.colToOut[df])
 		}
-		jt := exec.InnerJoin
-		if len(q.From) == 2 {
-			jt = q.JoinConds[0].Type
-			if jt == exec.RightOuterJoin {
-				jt = exec.LeftOuterJoin // probing with the right table
-			}
+		jt := jt0
+		if jt == exec.RightOuterJoin {
+			jt = exec.LeftOuterJoin // probing with the right table
 		}
 		dimDesc := q.From[dim.tblIdx].Table.Name
 		if dim.proj != nil {

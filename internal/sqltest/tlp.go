@@ -166,6 +166,13 @@ func (r *tlpRun) repro() string {
 // succeed with multiset-identical results, and returns the sorted rendered
 // rows. A generated query erroring at all is itself a finding.
 func (r *tlpRun) rows(idx int, sql string) ([]string, bool) {
+	return r.query(idx, sql, false)
+}
+
+// query is rows, optionally folding the first cell's zeros: foldKey is for
+// queries whose first column is a picked representative — a DISTINCT value
+// or a GROUP BY key (see foldNegZero).
+func (r *tlpRun) query(idx int, sql string, foldKey bool) ([]string, bool) {
 	r.t.Helper()
 	r.queries++
 	resA, errA := r.serial.Execute(sql)
@@ -175,7 +182,11 @@ func (r *tlpRun) rows(idx int, sql string) ([]string, bool) {
 			r.seed, idx, errA, errB, sql, r.repro())
 		return nil, false
 	}
-	a, b := canonicalRows(renderRows(resA)), canonicalRows(renderRows(resB))
+	a, b := renderRows(resA), renderRows(resB)
+	if foldKey {
+		foldNegZero(a)
+		foldNegZero(b)
+	}
 	sort.Strings(a)
 	sort.Strings(b)
 	if strings.Join(a, "\n") != strings.Join(b, "\n") {
@@ -186,24 +197,17 @@ func (r *tlpRun) rows(idx int, sql string) ([]string, bool) {
 	return a, true
 }
 
-// canonicalRows renders -0.0 as 0: SQL equality does not tell the two
-// zeros apart, so which one a group or DISTINCT value shows depends on the
-// row that arrived first, and may differ between a query and its
-// partitions.
-func canonicalRows(rows []string) []string {
+// foldNegZero renders a first cell of -0 as 0. SQL equality does not
+// tell the two zeros apart, so the one a DISTINCT value or GROUP BY key
+// shows depends on the row that arrived first, and may differ between a
+// query and its partitions or between the engines. Every other cell comes
+// straight from a stored row or an aggregate and is compared exactly.
+func foldNegZero(rows []string) {
 	for i, row := range rows {
-		if !strings.Contains(row, "-0") {
-			continue
+		if row == "-0" || strings.HasPrefix(row, "-0|") {
+			rows[i] = row[1:]
 		}
-		cells := strings.Split(row, "|")
-		for c, cell := range cells {
-			if cell == "-0" {
-				cells[c] = "0"
-			}
-		}
-		rows[i] = strings.Join(cells, "|")
 	}
-	return rows
 }
 
 // partitionSQL renders the unpartitioned query and its three TLP partitions.
@@ -269,10 +273,10 @@ func (r *tlpRun) checkDistinct(idx int, tp TableProfile, pred string, g *QGen) {
 	c := tp.Cols[g.rng.Intn(len(tp.Cols))]
 	base := fmt.Sprintf("SELECT DISTINCT %s FROM %s", c.Name, tp.Name)
 	all, p, notP, nullP := partitionSQL(base, pred)
-	rowsAll, ok1 := r.rows(idx, all)
-	rowsP, ok2 := r.rows(idx, p)
-	rowsN, ok3 := r.rows(idx, notP)
-	rowsNull, ok4 := r.rows(idx, nullP)
+	rowsAll, ok1 := r.query(idx, all, true)
+	rowsP, ok2 := r.query(idx, p, true)
+	rowsN, ok3 := r.query(idx, notP, true)
+	rowsNull, ok4 := r.query(idx, nullP, true)
 	if !(ok1 && ok2 && ok3 && ok4) {
 		return
 	}
@@ -287,14 +291,15 @@ func (r *tlpRun) checkDistinct(idx int, tp TableProfile, pred string, g *QGen) {
 const maxJoinRows = 40000
 
 // partitions runs the unpartitioned query and its three TLP partitions on
-// both engines; ok is false when any of them failed (already reported).
-func (r *tlpRun) partitions(idx int, base, pred, suffix string) (all []string, parts [3][]string, sqls [4]string, ok bool) {
+// both engines, folding the first cell's zeros when foldKey is set (see
+// foldNegZero); ok is false when any of them failed (already reported).
+func (r *tlpRun) partitions(idx int, base, pred, suffix string, foldKey bool) (all []string, parts [3][]string, sqls [4]string, ok bool) {
 	r.t.Helper()
 	a, p, n, nl := partitionSQL(base, pred)
 	sqls = [4]string{a + suffix, p + suffix, n + suffix, nl + suffix}
 	ok = true
 	for i, sql := range sqls {
-		rows, good := r.rows(idx, sql)
+		rows, good := r.query(idx, sql, foldKey)
 		ok = ok && good
 		if i == 0 {
 			all = rows
@@ -319,7 +324,7 @@ func (r *tlpRun) checkGroupBy(idx int, tp TableProfile, pred string, g *QGen) {
 		}
 	}
 	base := fmt.Sprintf("SELECT %s, %s FROM %s", key.Name, aggs, tp.Name)
-	all, parts, sqls, ok := r.partitions(idx, base, pred, " GROUP BY "+key.Name)
+	all, parts, sqls, ok := r.partitions(idx, base, pred, " GROUP BY "+key.Name, true)
 	if !ok {
 		return
 	}
@@ -344,7 +349,7 @@ func (r *tlpRun) checkJoin(idx int, g *QGen) {
 		names[i] = c.Name
 	}
 	base := fmt.Sprintf("SELECT %s FROM %s", strings.Join(names, ", "), tp.Name)
-	all, parts, sqls, ok := r.partitions(idx, base, g.Predicate(tp), "")
+	all, parts, sqls, ok := r.partitions(idx, base, g.Predicate(tp), "", false)
 	if !ok {
 		return
 	}
@@ -392,7 +397,7 @@ func (r *tlpRun) checkOrderBy(idx int, tp TableProfile, pred string, g *QGen) {
 			}
 		}
 	}
-	rowsAll, parts, sqls, ok := r.partitions(idx, base, pred, suffix)
+	rowsAll, parts, sqls, ok := r.partitions(idx, base, pred, suffix, false)
 	if !ok {
 		return
 	}

@@ -3,6 +3,7 @@ package sqltest
 import (
 	"flag"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -114,6 +115,14 @@ func TestTLPSelfCheck(t *testing.T) {
 	}
 	if err := CheckTLPAggregate([]string{}, []string{"1|1"}, []string{"0|NULL"}, []string{"0|NULL"}); err == nil {
 		t.Error("CheckTLPAggregate accepted a zero-row aggregate result")
+	}
+
+	// Only a representative first cell folds -0 into 0; a stored -0
+	// anywhere else must still differ from 0.
+	rows := []string{"-0", "-0|-0", "1|-0", "-01|x"}
+	foldNegZero(rows)
+	if want := []string{"0", "0|-0", "1|-0", "-01|x"}; strings.Join(rows, ",") != strings.Join(want, ",") {
+		t.Errorf("foldNegZero = %v, want %v", rows, want)
 	}
 }
 
