@@ -12,14 +12,17 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/resmgr"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Node is one cluster member: private storage per projection plus liveness.
@@ -281,39 +284,116 @@ func (c *Cluster) RouteRow(p *catalog.Projection, row types.Row) ([]int, error) 
 	return []int{c.ringNode(uint64(v.I), p.Seg.Offset)}, nil
 }
 
-// PrimaryOwner returns the ring node for a row under a projection ignoring
-// the buddy offset — i.e. which node's primary segment the row belongs to.
-func (c *Cluster) PrimaryOwner(p *catalog.Projection, row types.Row) (int, error) {
-	if p.Seg.Expr == nil {
-		return 0, nil
-	}
-	v, err := p.Seg.Expr.EvalRow(row)
+// segValues evaluates projection p's segmentation expression over its
+// columns (n rows), once for the whole batch.
+func segValues(p *catalog.Projection, cols []*vector.Vector, n int) (*vector.Vector, error) {
+	v, err := p.Seg.Expr.Eval(&vector.Batch{Cols: cols})
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("cluster: segmentation expression: %w", err)
 	}
-	return c.ringNode(uint64(v.I), 0), nil
+	if !v.Typ.IsIntegral() {
+		return nil, fmt.Errorf("cluster: segmentation expression must be integral, got %s", v.Typ)
+	}
+	if v.Len() != n {
+		return nil, fmt.Errorf("cluster: segmentation expression gave %d values for %d rows", v.Len(), n)
+	}
+	return v.Expand(), nil
 }
 
-// LocalSegmentOf splits a node's hash subrange into equal local segments
-// (paper §3.6: "local segments" let the cluster expand by reassigning whole
-// segments).
-func (c *Cluster) LocalSegmentOf(p *catalog.Projection) func(types.Row) int {
-	ls := c.cfg.LocalSegments
-	if p.Seg.Replicated || p.Seg.Expr == nil {
-		return func(types.Row) int { return 0 }
+// route splits the n rows of projection p's columns by the nodes that
+// store them: sels[node] lists that node's rows, nil when it has none.
+// Replicated and unsegmented projections are the vectorized RouteRow.
+func (c *Cluster) route(p *catalog.Projection, cols []*vector.Vector, n int) ([][]int, error) {
+	sels := make([][]int, c.N())
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	seg := p.Seg.Expr
-	n := uint64(c.N())
+	switch {
+	case n == 0:
+	case p.Seg.Replicated:
+		for id := range sels {
+			sels[id] = all
+		}
+	case p.Seg.Expr == nil:
+		sels[0] = all
+	default:
+		v, err := segValues(p, cols, n)
+		if err != nil {
+			return nil, err
+		}
+		if c.N() == 1 {
+			sels[0] = all
+			break
+		}
+		for i, h := range v.Ints {
+			id := c.ringNode(uint64(h), p.Seg.Offset)
+			sels[id] = append(sels[id], i)
+		}
+	}
+	return sels, nil
+}
+
+// Placer returns the vectorized placement of the rows of projection p of
+// table t: the table's PARTITION BY expression, remapped onto the projection's columns
+// once, and each row's local segment, which splits a node's hash subrange
+// into equal parts (paper §3.6: "local segments" let the cluster expand
+// by reassigning whole segments). When the projection does not store the
+// partition expression's columns, the placer puts every row in partition
+// "" and the error says why.
+func (c *Cluster) Placer(t *catalog.Table, p *catalog.Projection) (storage.Placer, error) {
+	var part expr.Expr
+	var partErr error
+	if t.PartitionExpr != nil {
+		m := map[int]int{}
+		for i := 0; i < t.Schema.Len(); i++ {
+			if pi := p.Schema.ColIndex(t.Schema.Col(i).Name); pi >= 0 {
+				m[i] = pi
+			}
+		}
+		if part, partErr = expr.Remap(t.PartitionExpr, m); partErr != nil {
+			partErr = fmt.Errorf("cluster: projection %q cannot evaluate partition expression: %w", p.Name, partErr)
+		}
+	}
+	ls := uint64(c.cfg.LocalSegments)
 	rangeWidth := ^uint64(0)
-	if n > 1 {
+	if n := uint64(c.N()); n > 1 {
 		rangeWidth = ^uint64(0)/n + 1
 	}
-	return func(r types.Row) int {
-		v, err := seg.EvalRow(r)
-		if err != nil {
-			return 0
+	segmented := !p.Seg.Replicated && p.Seg.Expr != nil
+	return func(cols []*vector.Vector, n int) ([]storage.Placement, error) {
+		pl := make([]storage.Placement, n)
+		if segmented {
+			// A row whose hash does not evaluate stays in local segment 0.
+			if v, err := segValues(p, cols, n); err == nil {
+				for i, h := range v.Ints {
+					pl[i].LocalSegment = int(uint64(h) % rangeWidth / (rangeWidth/ls + 1))
+				}
+			}
 		}
-		pos := uint64(v.I) % rangeWidth
-		return int(pos / (rangeWidth/uint64(ls) + 1))
-	}
+		if part == nil {
+			return pl, nil
+		}
+		v, err := part.Eval(&vector.Batch{Cols: cols})
+		if err != nil {
+			return nil, err
+		}
+		v = v.Expand()
+		// Partition keys come in runs: render each run's value once.
+		for i := range pl {
+			if i > 0 && vector.CompareAt(v, i, v, i-1) == 0 && sameBits(v, i, i-1) {
+				pl[i].Partition = pl[i-1].Partition
+				continue
+			}
+			pl[i].Partition = v.ValueAt(i).String()
+		}
+		return pl, nil
+	}, partErr
+}
+
+// sameBits reports whether float entries i and j have identical bits
+// (-0.0 and 0.0 compare equal but render differently); other types
+// compare exactly already.
+func sameBits(v *vector.Vector, i, j int) bool {
+	return v.Typ != types.Float64 || math.Float64bits(v.Floats[i]) == math.Float64bits(v.Floats[j])
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 func testCluster(t *testing.T, nodes, k int) (*Cluster, *catalog.Catalog) {
@@ -154,20 +155,57 @@ func TestDataUnavailableWithoutBuddies(t *testing.T) {
 	}
 }
 
+// TestLocalSegmentOf checks the vectorized placement and routing: local
+// segments cover all three of a node's subranges, and every row goes to
+// the node RouteRow names for it.
 func TestLocalSegmentOf(t *testing.T) {
 	c, cat := testCluster(t, 2, 0)
 	p := segProjection(t, cat, "p", 0)
-	segOf := c.LocalSegmentOf(p)
+	tbl, err := cat.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	place, err := c.Placer(tbl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	ids, vs := vector.New(types.Int64, n), vector.New(types.Float64, n)
+	for i := 0; i < n; i++ {
+		ids.AppendValue(types.NewInt(int64(i)))
+		vs.AppendValue(types.NewFloat(0))
+	}
+	cols := []*vector.Vector{ids, vs}
+	pl, err := place(cols, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := map[int]int{}
-	for i := 0; i < 3000; i++ {
-		s := segOf(types.Row{types.NewInt(int64(i)), types.NewFloat(0)})
-		if s < 0 || s >= 3 {
-			t.Fatalf("local segment %d out of range", s)
+	for _, x := range pl {
+		if x.LocalSegment < 0 || x.LocalSegment >= 3 || x.Partition != "" {
+			t.Fatalf("placement %+v out of range", x)
 		}
-		counts[s]++
+		counts[x.LocalSegment]++
 	}
 	if len(counts) != 3 {
 		t.Errorf("local segments used = %v, want 3 (Figure 2)", counts)
+	}
+	sels, err := c.route(p, cols, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := 0
+	for id, sel := range sels {
+		for _, i := range sel {
+			want, err := c.RouteRow(p, types.Row{ids.ValueAt(i), vs.ValueAt(i)})
+			if err != nil || len(want) != 1 || want[0] != id {
+				t.Fatalf("row %d routed to node %d, RouteRow says %v (%v)", i, id, want, err)
+			}
+			routed++
+		}
+	}
+	if routed != n {
+		t.Fatalf("routed %d of %d rows", routed, n)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -21,6 +20,9 @@ import (
 // buddies) and stages per-node WOS appends. When direct is true (or a WOS is
 // saturated) the rows bypass the WOS and are written straight to new ROS
 // containers at commit — the paper's "Direct Loading to the ROS" (§7).
+//
+// The rows become typed columns once; segmentation routing is one
+// vectorized evaluation per projection.
 func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direct bool) error {
 	if c.IsShutdown() {
 		return fmt.Errorf("cluster: database is shut down")
@@ -48,47 +50,59 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 			}
 		}
 	}
-	type target struct {
-		proj *catalog.Projection
-		node *Node
+	tcols := vector.NewBatchForSchema(t.Schema, len(rows))
+	for _, r := range rows {
+		tcols.AppendRow(r)
 	}
-	staged := map[target][]types.Row{}
+	type target struct {
+		load *projLoad
+		node *Node
+		sel  []int
+	}
+	var staged []target
 	for _, p := range projs {
 		if err := c.EnsureStorage(p); err != nil {
 			return err
 		}
-		for _, r := range rows {
-			pr, err := projectTableRow(t, p, r, c.cat)
-			if err != nil {
-				return err
-			}
-			nodeIDs, err := c.RouteRow(p, pr)
-			if err != nil {
-				return err
-			}
-			for _, id := range nodeIDs {
-				tg := target{proj: p, node: c.nodes[id]}
-				staged[tg] = append(staged[tg], pr)
+		if len(rows) == 0 {
+			continue
+		}
+		ld := &projLoad{proj: p, table: t, rows: rows}
+		if ld.colIdx, err = projectionColumns(t, p); err != nil {
+			return err
+		}
+		ld.cols = make([]*vector.Vector, len(ld.colIdx))
+		for i, ci := range ld.colIdx {
+			ld.cols[i] = tcols.Cols[ci]
+		}
+		sels, err := c.route(p, ld.cols, len(rows))
+		if err != nil {
+			return err
+		}
+		for id, sel := range sels {
+			if len(sel) > 0 {
+				staged = append(staged, target{load: ld, node: c.nodes[id], sel: sel})
 			}
 		}
 	}
 	tx.StageCommit(true, func(epoch types.Epoch) error {
-		for tg, trows := range staged {
+		for _, tg := range staged {
 			if !tg.node.Up() {
 				continue // down nodes miss the DML; recovery replays it
 			}
-			mgr, err := tg.node.Mgr(tg.proj, c.ManagerOpts())
+			p := tg.load.proj
+			mgr, err := tg.node.Mgr(p, c.ManagerOpts())
 			if err != nil {
 				return err
 			}
 			if direct || mgr.WOS().Saturated() {
-				if err := c.directLoad(tg.node, tg.proj, mgr, trows, epoch, tx); err != nil {
+				if err := c.directLoad(mgr, tg.load, tg.sel, epoch, tx); err != nil {
 					return err
 				}
-				c.Txn.Epochs.SetLGE(tg.proj.Name, epoch)
+				c.Txn.Epochs.SetLGE(p.Name, epoch)
 				continue
 			}
-			if _, err := mgr.WOS().Append(trows, epoch); err != nil {
+			if _, err := mgr.WOS().Append(tg.load.projectedRows(tg.sel), epoch); err != nil {
 				return err
 			}
 		}
@@ -97,21 +111,51 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 	return nil
 }
 
-// projectTableRow maps a table row onto a projection's columns (resolving
-// prejoin dimension columns is the caller's concern; plain projections only).
-func projectTableRow(t *catalog.Table, p *catalog.Projection, r types.Row, cat *catalog.Catalog) (types.Row, error) {
-	out := make(types.Row, p.Schema.Len())
+// projLoad is one insert's rows as one projection stores them.
+type projLoad struct {
+	proj   *catalog.Projection
+	table  *catalog.Table
+	rows   []types.Row      // the table rows
+	colIdx []int            // projection column -> table column
+	cols   []*vector.Vector // the projection's columns, every row
+	prows  []types.Row      // rows in projection column order, built on first use
+	place  []storage.Placement
+}
+
+// projectionColumns maps a projection's columns onto table column indexes
+// (resolving prejoin dimension columns is the caller's concern; plain
+// projections only).
+func projectionColumns(t *catalog.Table, p *catalog.Projection) ([]int, error) {
+	out := make([]int, len(p.Columns))
 	for i, name := range p.Columns {
 		if _, _, isDim := splitDim(name); isDim {
 			return nil, fmt.Errorf("cluster: prejoin projection %q must be loaded via refresh", p.Name)
 		}
-		ci := t.Schema.ColIndex(name)
-		if ci < 0 {
+		if out[i] = t.Schema.ColIndex(name); out[i] < 0 {
 			return nil, fmt.Errorf("cluster: projection %q column %q missing from table", p.Name, name)
 		}
-		out[i] = r[ci]
 	}
 	return out, nil
+}
+
+// projectedRows returns the rows listed in sel in projection column order
+// (the WOS stores rows).
+func (ld *projLoad) projectedRows(sel []int) []types.Row {
+	if ld.prows == nil {
+		ld.prows = make([]types.Row, len(ld.rows))
+		for i, r := range ld.rows {
+			pr := make(types.Row, len(ld.colIdx))
+			for j, ci := range ld.colIdx {
+				pr[j] = r[ci]
+			}
+			ld.prows[i] = pr
+		}
+	}
+	out := make([]types.Row, len(sel))
+	for i, r := range sel {
+		out[i] = ld.prows[r]
+	}
+	return out
 }
 
 func splitDim(name string) (string, string, bool) {
@@ -123,86 +167,42 @@ func splitDim(name string) (string, string, bool) {
 	return "", "", false
 }
 
-// directLoad sorts rows and writes them straight to ROS containers grouped
-// by (partition, local segment), bypassing the WOS.
-func (c *Cluster) directLoad(n *Node, p *catalog.Projection, mgr *storage.Manager, rows []types.Row, epoch types.Epoch, tx *txn.Txn) error {
-	t, err := c.cat.Table(p.Anchor)
-	if err != nil {
-		return err
-	}
-	partOf := func(r types.Row) (string, error) { return partitionKey(t, p, r) }
-	segOf := c.LocalSegmentOf(p)
-	type gk struct {
-		part string
-		seg  int
-	}
-	groups := map[gk][]types.Row{}
-	for _, r := range rows {
-		part, err := partOf(r)
+// directLoad writes the rows listed in sel straight to ROS containers, one
+// per (partition, local segment), bypassing the WOS: each is sorted and
+// written by storage.WriteSorted with the commit epoch as its epoch column.
+func (c *Cluster) directLoad(mgr *storage.Manager, ld *projLoad, sel []int, epoch types.Epoch, tx *txn.Txn) error {
+	p := ld.proj
+	if ld.place == nil {
+		place, err := c.Placer(ld.table, p)
 		if err != nil {
 			return err
 		}
-		k := gk{part, segOf(r)}
-		groups[k] = append(groups[k], r)
+		if ld.place, err = place(ld.cols, len(ld.rows)); err != nil {
+			return err
+		}
 	}
-	sortKey := p.SortKey()
+	epochs := make([]int64, len(ld.rows))
+	for i := range epochs {
+		epochs[i] = int64(epoch)
+	}
+	cols := append(ld.cols[:len(ld.cols):len(ld.cols)], vector.NewFromInts(types.Int64, epochs))
 	encs := encodingSpecs(p)
-	for k, g := range groups {
-		sortRows(g, sortKey)
+	for _, g := range storage.GroupByPlacement(ld.place, sel) {
 		id, dir := mgr.NewContainerID()
 		meta := &storage.ContainerMeta{
 			ID: id, Projection: p.Name, Cols: mgr.StoredColumns(encs),
-			Partition: k.part, LocalSegment: k.seg,
+			Partition: g.Partition, LocalSegment: g.LocalSegment,
 			MinEpoch: epoch, MaxEpoch: epoch,
 		}
-		w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{})
-		if err != nil {
-			return err
-		}
-		batch := newStoredBatch(p, len(g))
-		for _, r := range g {
-			batch.AppendRow(append(r.Clone(), types.NewInt(int64(epoch))))
-		}
-		if err := w.Append(batch); err != nil {
-			w.Abort()
-			return err
-		}
-		if _, err := w.Close(); err != nil {
+		if _, err := storage.WriteSorted(dir, meta, cols, g.Rows, p.SortKey(), storage.WriterOpts{}); err != nil {
 			return err
 		}
 		if err := mgr.Publish(meta); err != nil {
 			return err
 		}
-		cid := id
-		m := mgr
-		tx.StageRollback(func() { m.Remove(cid) })
+		tx.StageRollback(func() { mgr.Remove(id) })
 	}
 	return nil
-}
-
-// partitionKey evaluates the table's PARTITION BY expression over a
-// projection row (the expression references table columns; the projection
-// must store them — super projections always do).
-func partitionKey(t *catalog.Table, p *catalog.Projection, r types.Row) (string, error) {
-	if t.PartitionExpr == nil {
-		return "", nil
-	}
-	// Remap from table columns to projection columns by name.
-	m := map[int]int{}
-	for i := 0; i < t.Schema.Len(); i++ {
-		if pi := p.Schema.ColIndex(t.Schema.Col(i).Name); pi >= 0 {
-			m[i] = pi
-		}
-	}
-	re, err := expr.Remap(t.PartitionExpr, m)
-	if err != nil {
-		return "", fmt.Errorf("cluster: projection %q cannot evaluate partition expression: %w", p.Name, err)
-	}
-	v, err := re.EvalRow(r)
-	if err != nil {
-		return "", err
-	}
-	return v.String(), nil
 }
 
 func encodingSpecs(p *catalog.Projection) map[string]storage.ColumnSpec {
@@ -215,21 +215,6 @@ func encodingSpecs(p *catalog.Projection) map[string]storage.ColumnSpec {
 		out[name] = storage.ColumnSpec{Name: name, Typ: p.Schema.Col(i).Typ, Enc: k}
 	}
 	return out
-}
-
-func newStoredBatch(p *catalog.Projection, capacity int) *vector.Batch {
-	cols := append([]types.Column{}, p.Schema.Cols...)
-	cols = append(cols, types.Column{Name: storage.EpochColumn, Typ: types.Int64})
-	return vector.NewBatchForSchema(types.NewSchema(cols...), capacity)
-}
-
-func sortRows(rows []types.Row, key []int) {
-	if len(key) == 0 {
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return rows[i].Compare(rows[j], key) < 0
-	})
 }
 
 // StageDelete finds rows matching pred in every projection of the table on

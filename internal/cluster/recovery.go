@@ -3,12 +3,12 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Recovery, refresh, rebalance and backup (paper §5.2). Vertica keeps no
@@ -133,42 +133,16 @@ func (c *Cluster) copyMissedRows(n *Node, p *catalog.Projection, dst *storage.Ma
 	if len(keep) == 0 {
 		return nil
 	}
-	// Sort by the projection sort order and write one container.
-	sort.SliceStable(keep, func(a, b int) bool {
-		return rows[keep[a]].Compare(rows[keep[b]], p.SortKey()) < 0
-	})
-	id, dir := dst.NewContainerID()
-	minE, maxE := epochs[keep[0]], epochs[keep[0]]
-	for _, i := range keep {
-		if epochs[i] < minE {
-			minE = epochs[i]
-		}
-		if epochs[i] > maxE {
-			maxE = epochs[i]
-		}
-	}
-	meta := &storage.ContainerMeta{
-		ID: id, Projection: p.Name, Cols: dst.StoredColumns(encodingSpecs(p)),
-		MinEpoch: minE, MaxEpoch: maxE,
-	}
-	w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{})
+	meta, perm, err := writeSortedRows(dst, p, rows, epochs, keep)
 	if err != nil {
 		return err
 	}
-	batch := newStoredBatch(p, len(keep))
+	id := meta.ID
 	var dvs []storage.DVEntry
-	for outPos, i := range keep {
-		batch.AppendRow(append(rows[i].Clone(), types.NewInt(int64(epochs[i]))))
+	for outPos, i := range perm {
 		if delEpochs[i] != 0 {
 			dvs = append(dvs, storage.DVEntry{Pos: int64(outPos), Epoch: delEpochs[i]})
 		}
-	}
-	if err := w.Append(batch); err != nil {
-		w.Abort()
-		return err
-	}
-	if _, err := w.Close(); err != nil {
-		return err
 	}
 	if err := dst.Publish(meta); err != nil {
 		return err
@@ -529,44 +503,45 @@ func writeRefreshedContainer(mgr *storage.Manager, p *catalog.Projection, rows [
 	if len(rows) == 0 {
 		return nil
 	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
+	meta, _, err := writeSortedRows(mgr, p, rows, epochs, nil)
+	if err != nil {
+		return err
 	}
-	key := p.SortKey()
-	sort.SliceStable(idx, func(a, b int) bool {
-		return rows[idx[a]].Compare(rows[idx[b]], key) < 0
-	})
+	return mgr.Publish(meta)
+}
+
+// writeSortedRows writes the rows listed in sel (every row when sel is
+// nil; rows in projection column order, with their commit epochs) as one
+// new container of projection p, sorted by its sort order. It returns the
+// container, unpublished, and the written order of the rows.
+func writeSortedRows(mgr *storage.Manager, p *catalog.Projection, rows []types.Row, epochs []types.Epoch, sel []int) (*storage.ContainerMeta, []int, error) {
+	batch := vector.NewBatchForSchema(p.Schema, len(rows))
+	eps := make([]int64, len(rows))
+	for i, r := range rows {
+		batch.AppendRow(r)
+		eps[i] = int64(epochs[i])
+	}
+	cols := append(batch.Cols, vector.NewFromInts(types.Int64, eps))
+	if sel == nil {
+		sel = make([]int, len(rows))
+		for i := range sel {
+			sel[i] = i
+		}
+	}
+	minE, maxE := epochs[sel[0]], epochs[sel[0]]
+	for _, i := range sel {
+		minE, maxE = min(minE, epochs[i]), max(maxE, epochs[i])
+	}
 	id, dir := mgr.NewContainerID()
-	minE, maxE := epochs[0], epochs[0]
-	for _, e := range epochs {
-		if e < minE {
-			minE = e
-		}
-		if e > maxE {
-			maxE = e
-		}
-	}
 	meta := &storage.ContainerMeta{
 		ID: id, Projection: p.Name, Cols: mgr.StoredColumns(encodingSpecs(p)),
 		MinEpoch: minE, MaxEpoch: maxE,
 	}
-	w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{})
+	perm, err := storage.WriteSorted(dir, meta, cols, sel, p.SortKey(), storage.WriterOpts{})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	batch := newStoredBatch(p, len(rows))
-	for _, i := range idx {
-		batch.AppendRow(append(rows[i].Clone(), types.NewInt(int64(epochs[i]))))
-	}
-	if err := w.Append(batch); err != nil {
-		w.Abort()
-		return err
-	}
-	if _, err := w.Close(); err != nil {
-		return err
-	}
-	return mgr.Publish(meta)
+	return meta, perm, nil
 }
 
 // AddNode grows the cluster by one node; call Rebalance to redistribute

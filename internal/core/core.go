@@ -1432,34 +1432,17 @@ func (db *Database) moverFor(n *cluster.Node, p *catalog.Projection) (*tuplemove
 			encs[name] = storage.ColumnSpec{Name: name, Typ: p.Schema.Col(i).Typ, Enc: k}
 		}
 	}
-	var partOf func(types.Row) (string, error)
-	if t.PartitionExpr != nil {
-		m := map[int]int{}
-		for i := 0; i < t.Schema.Len(); i++ {
-			if pi := p.Schema.ColIndex(t.Schema.Col(i).Name); pi >= 0 {
-				m[i] = pi
-			}
-		}
-		pe, err := expr.Remap(t.PartitionExpr, m)
-		if err == nil {
-			partOf = func(r types.Row) (string, error) {
-				v, err := pe.EvalRow(r)
-				if err != nil {
-					return "", err
-				}
-				return v.String(), nil
-			}
-		}
-	}
+	// A projection that does not store the partition columns keeps its
+	// rows in partition "", as it always has; direct loads report it.
+	place, _ := db.cluster.Placer(t, p)
 	tm, err := tuplemover.New(tuplemover.Config{
-		Projection:     p.Name,
-		Mgr:            mgr,
-		Epochs:         db.txns.Epochs,
-		SortKey:        p.SortKey(),
-		Encodings:      encs,
-		PartitionOf:    partOf,
-		LocalSegmentOf: db.cluster.LocalSegmentOf(p),
-		Collector:      db.dcol,
+		Projection: p.Name,
+		Mgr:        mgr,
+		Epochs:     db.txns.Epochs,
+		SortKey:    p.SortKey(),
+		Encodings:  encs,
+		Place:      place,
+		Collector:  db.dcol,
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -144,5 +146,34 @@ func TestWritePathsAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(hd, hw) {
 		t.Fatalf("unique-sort-key containers differ between direct load and WOS+moveout:\n direct %v\n wos    %v", hd, hw)
+	}
+}
+
+// TestMoverKeepsNegativeZero: moveout encodes -0.0 distinctly from 0.0
+// (RLE runs and BLOCK_DICT entries key floats by their bits), so a row
+// stored as -0.0 reads back as -0.0 after the tuple mover has run.
+func TestMoverKeepsNegativeZero(t *testing.T) {
+	db := openTestDB(t, 1, 0)
+	db.MustExecute(`CREATE TABLE f (id INT, x FLOAT)`)
+	db.MustExecute(`CREATE PROJECTION f_p ON f (id, x) ORDER BY id SEGMENTED BY HASH(id)`)
+	cycle := []float64{0, math.Copysign(0, -1), 2.5, 7.25}
+	rows := make([]types.Row, 400)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(cycle[i%len(cycle)])}
+	}
+	if err := db.Load("f", rows, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.RunTupleMover(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range cycle {
+		res := db.MustExecute(fmt.Sprintf(`SELECT x FROM f WHERE id = %d`, id))
+		if len(res.Rows) != 1 {
+			t.Fatalf("id %d: %d rows", id, len(res.Rows))
+		}
+		if got := res.Rows[0][0].F; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("id %d: x = %v, want %v", id, got, want)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package encoding
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -22,7 +22,7 @@ import (
 // via Auto (direct encode requests get an error).
 const maxCommonDeltaDict = 4096
 
-func encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error) {
+func encodeCommonDelta(buf []byte, v *vector.Vector, sc *scratch) ([]byte, error) {
 	if v.Typ == types.Float64 || v.Typ == types.Varchar {
 		return nil, fmt.Errorf("encoding: COMMONDELTA_COMP requires integral column, got %s", v.Typ)
 	}
@@ -31,25 +31,11 @@ func encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error) {
 		return buf, nil
 	}
 	buf = appendVarint(buf, v.Ints[0])
-	deltas := make([]int64, n-1)
-	dictIdx := map[int64]int{}
-	for i := 1; i < n; i++ {
-		d := v.Ints[i] - v.Ints[i-1]
-		deltas[i-1] = d
-		if _, ok := dictIdx[d]; !ok {
-			if len(dictIdx) >= maxCommonDeltaDict {
-				return nil, fmt.Errorf("encoding: COMMONDELTA_COMP delta dictionary exceeds %d entries", maxCommonDeltaDict)
-			}
-			dictIdx[d] = 0
-		}
-	}
-	dict := make([]int64, 0, len(dictIdx))
-	for d := range dictIdx {
-		dict = append(dict, d)
-	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	for i, d := range dict {
-		dictIdx[d] = i
+	deltas := sc.deltas(v.Ints)
+	sc.ints2 = append(sc.ints2[:0], deltas...)
+	dict := sortedUnique(sc.ints2)
+	if len(dict) > maxCommonDeltaDict {
+		return nil, fmt.Errorf("encoding: COMMONDELTA_COMP delta dictionary exceeds %d entries", maxCommonDeltaDict)
 	}
 	buf = appendUvarint(buf, uint64(len(dict)))
 	for _, d := range dict {
@@ -59,9 +45,9 @@ func encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error) {
 		return buf, nil
 	}
 	freq := make([]int, len(dict))
-	syms := make([]int, len(deltas))
+	syms := sc.indexes(len(deltas))
 	for i, d := range deltas {
-		s := dictIdx[d]
+		s, _ := slices.BinarySearch(dict, d)
 		syms[i] = s
 		freq[s]++
 	}

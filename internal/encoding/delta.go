@@ -3,6 +3,7 @@ package encoding
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -136,11 +137,4 @@ func decodeDeltaRange(b []byte, t types.Type, n int) (*vector.Vector, error) {
 
 // reverseBytes flips byte order so that XORs of similar floats (which differ
 // in low mantissa bytes) present their zero bytes to the varint encoder last.
-func reverseBytes(v uint64) uint64 {
-	var out uint64
-	for i := 0; i < 8; i++ {
-		out = out<<8 | v&0xff
-		v >>= 8
-	}
-	return out
-}
+func reverseBytes(v uint64) uint64 { return bits.ReverseBytes64(v) }

@@ -3,95 +3,56 @@ package encoding
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
 // BlockDict payload: uvarint dictSize, dict entries in raw per-value format
-// (sorted, so dictionary order is value order), then bit-packed indexes with
+// (sorted, so dictionary order is value order; floats are keyed by their
+// bits, so -0.0 and 0.0 are separate entries), then bit-packed indexes with
 // width = ceil(log2(dictSize)). "Within a data block, distinct column values
 // are stored in a dictionary and actual values are replaced with references"
 // (paper §3.4.1).
 
-func encodeBlockDict(buf []byte, v *vector.Vector) ([]byte, error) {
-	n := v.PhysLen()
+func encodeBlockDict(buf []byte, v *vector.Vector, sc *scratch) ([]byte, error) {
+	idx := sc.indexes(v.PhysLen())
+	var k int
 	switch v.Typ {
 	case types.Float64:
-		dict := map[float64]int{}
-		for _, f := range v.Floats {
-			if _, ok := dict[f]; !ok {
-				dict[f] = 0
-			}
+		keys := sortedUnique(sc.floatKeys(v.Floats))
+		k = len(keys)
+		buf = appendUvarint(buf, uint64(k))
+		for _, key := range keys {
+			buf = appendUint64(buf, math.Float64bits(floatFromKey(key)))
 		}
-		keys := make([]float64, 0, len(dict))
-		for k := range dict {
-			keys = append(keys, k)
-		}
-		sort.Float64s(keys)
-		for i, k := range keys {
-			dict[k] = i
-		}
-		buf = appendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
-			buf = appendUint64(buf, math.Float64bits(k))
-		}
-		idx := make([]int, n)
 		for i, f := range v.Floats {
-			idx[i] = dict[f]
+			idx[i], _ = slices.BinarySearch(keys, floatKey(f))
 		}
-		return packBits(buf, idx, bitWidth(len(keys))), nil
 	case types.Varchar:
-		dict := map[string]int{}
-		for _, s := range v.Strs {
-			if _, ok := dict[s]; !ok {
-				dict[s] = 0
-			}
+		keys := sortedUnique(sc.strsOf(v.Strs))
+		k = len(keys)
+		buf = appendUvarint(buf, uint64(k))
+		for _, key := range keys {
+			buf = appendUvarint(buf, uint64(len(key)))
+			buf = append(buf, key...)
 		}
-		keys := make([]string, 0, len(dict))
-		for k := range dict {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			dict[k] = i
-		}
-		buf = appendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
-			buf = appendUvarint(buf, uint64(len(k)))
-			buf = append(buf, k...)
-		}
-		idx := make([]int, n)
 		for i, s := range v.Strs {
-			idx[i] = dict[s]
+			idx[i], _ = slices.BinarySearch(keys, s)
 		}
-		return packBits(buf, idx, bitWidth(len(keys))), nil
 	default:
-		dict := map[int64]int{}
-		for _, x := range v.Ints {
-			if _, ok := dict[x]; !ok {
-				dict[x] = 0
-			}
+		keys := sortedUnique(sc.intsOf(v.Ints))
+		k = len(keys)
+		buf = appendUvarint(buf, uint64(k))
+		for _, key := range keys {
+			buf = appendVarint(buf, key)
 		}
-		keys := make([]int64, 0, len(dict))
-		for k := range dict {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i, k := range keys {
-			dict[k] = i
-		}
-		buf = appendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
-			buf = appendVarint(buf, k)
-		}
-		idx := make([]int, n)
 		for i, x := range v.Ints {
-			idx[i] = dict[x]
+			idx[i], _ = slices.BinarySearch(keys, x)
 		}
-		return packBits(buf, idx, bitWidth(len(keys))), nil
 	}
+	return packBits(buf, idx, bitWidth(k)), nil
 }
 
 func decodeBlockDict(b []byte, t types.Type, n int) (*vector.Vector, error) {

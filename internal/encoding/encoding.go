@@ -109,20 +109,25 @@ func (k Kind) Applicable(t types.Type) bool {
 // The payload that follows is kind-specific and always encodes rowCount
 // logical slots (null slots carry zero values).
 
-// EncodeBlock encodes a flat vector as one block. kind must not be Auto
-// (resolve Auto with Choose first) and must be applicable to v's type.
+// EncodeBlock encodes a vector as one block with kind, which must be
+// applicable to v's type. Auto encodes with the kind Choose picks, once.
 func EncodeBlock(kind Kind, v *vector.Vector) ([]byte, error) {
 	if v.IsRLE() {
 		v = v.Expand()
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	n := v.PhysLen()
+	capacity := n
 	if kind == Auto {
-		kind = Choose(v)
+		var size int
+		kind, size = choose(v, sc)
+		capacity = headerSize(v) + size
 	}
 	if !kind.Applicable(v.Typ) {
 		return nil, fmt.Errorf("encoding: %s not applicable to %s", kind, v.Typ)
 	}
-	n := v.PhysLen()
-	buf := make([]byte, 0, n)
+	buf := make([]byte, 0, capacity)
 	buf = append(buf, byte(kind))
 	buf = appendUvarint(buf, uint64(n))
 	if v.HasNulls() {
@@ -146,11 +151,11 @@ func EncodeBlock(kind Kind, v *vector.Vector) ([]byte, error) {
 	case DeltaValue:
 		buf, err = encodeDeltaValue(buf, v)
 	case BlockDict:
-		buf, err = encodeBlockDict(buf, v)
+		buf, err = encodeBlockDict(buf, v, sc)
 	case CompressedDeltaRange:
 		buf, err = encodeDeltaRange(buf, v)
 	case CompressedCommonDelta:
-		buf, err = encodeCommonDelta(buf, v)
+		buf, err = encodeCommonDelta(buf, v, sc)
 	default:
 		err = fmt.Errorf("encoding: cannot encode with kind %s", kind)
 	}

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -440,4 +441,64 @@ func TestCommonDeltaDictTooLarge(t *testing.T) {
 	if _, err := EncodeBlock(CompressedCommonDelta, v); err == nil {
 		t.Error("expected dictionary-overflow error on random data")
 	}
+}
+
+// TestNegativeZeroSurvivesEveryKind: RLE runs and BLOCK_DICT entries key
+// floats by their bits, so -0.0 never merges into 0.0's run or entry.
+func TestNegativeZeroSurvivesEveryKind(t *testing.T) {
+	cycle := []float64{0, math.Copysign(0, -1), 2.5, 7.25}
+	vals := make([]float64, 400)
+	for i := range vals {
+		vals[i] = cycle[i%len(cycle)]
+	}
+	v := vector.NewFromFloats(vals)
+	for _, k := range []Kind{Auto, None, RLE, BlockDict, CompressedDeltaRange} {
+		enc, err := EncodeBlock(k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeBlock(enc, types.Float64, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range dec.Floats {
+			if math.Float64bits(f) != math.Float64bits(vals[i]) {
+				t.Fatalf("%s: row %d decoded %v, want %v", k, i, f, vals[i])
+			}
+		}
+	}
+}
+
+// BenchmarkEncodeAuto measures Auto encoding (choose, then encode the
+// winner) of 4096-row blocks of the column shapes a load writes.
+func BenchmarkEncodeAuto(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 4096
+	sortedInts := make([]int64, n)
+	randInts := make([]int64, n)
+	floats := make([]float64, n)
+	strs := make([]string, n)
+	words := []string{"AIR", "MAIL", "RAIL", "SHIP", "TRUCK", "FOB", "REG AIR"}
+	for i := 0; i < n; i++ {
+		sortedInts[i] = int64(i/3) * 10
+		randInts[i] = rng.Int63n(1 << 30)
+		floats[i] = float64(rng.Intn(10000)) / 100
+		strs[i] = words[rng.Intn(len(words))]
+	}
+	blocks := []*vector.Vector{
+		vector.NewFromInts(types.Int64, sortedInts),
+		vector.NewFromInts(types.Int64, randInts),
+		vector.NewFromFloats(floats),
+		vector.NewFromStrings(strs),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range blocks {
+			if _, err := EncodeBlock(Auto, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*len(blocks)), "ns/value")
 }

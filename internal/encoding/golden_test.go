@@ -169,3 +169,32 @@ func TestEncodeGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestPayloadSizeIsExact holds the size-only chooser to the encoders: for
+// every corpus block and kind, the computed size is the encoded length,
+// and Auto's choice is the smallest trial encoding (first in candidate
+// order on a tie).
+func TestPayloadSizeIsExact(t *testing.T) {
+	for _, c := range goldenCorpus() {
+		trial := TrialSizes(c.v)
+		for _, k := range candidateKinds(c.v.Typ) {
+			size, ok := payloadSize(k, c.v, new(scratch))
+			enc, err := EncodeBlock(k, c.v)
+			if ok != (err == nil) {
+				t.Fatalf("%s %s: sizer ok=%v, encoder err=%v", c.name, k, ok, err)
+			}
+			if ok && headerSize(c.v)+size != len(enc) {
+				t.Fatalf("%s %s: sized %d bytes, encoded %d", c.name, k, headerSize(c.v)+size, len(enc))
+			}
+		}
+		best, bestSize := None, -1
+		for _, k := range candidateKinds(c.v.Typ) {
+			if s, ok := trial[k]; ok && (bestSize < 0 || s < bestSize) {
+				best, bestSize = k, s
+			}
+		}
+		if got := Choose(c.v); got != best {
+			t.Fatalf("%s: Choose = %s, smallest trial encoding is %s (%v)", c.name, got, best, trial)
+		}
+	}
+}

@@ -1,9 +1,8 @@
 package encoding
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Canonical Huffman coding over small symbol alphabets, used by the
@@ -15,112 +14,110 @@ const maxHuffmanCodeLen = 56 // fits in a uint64 accumulator with room to spare
 // huffmanCodeLengths computes canonical code lengths for the given symbol
 // frequencies (freq[i] > 0 for used symbols). Single-symbol alphabets get
 // length 1.
+//
+// The tree is built with the two-queue method: leaves sorted by (weight,
+// leaf index) and internal nodes in creation order, which is also
+// (weight, node index) order. Taking the smaller head of the two queues
+// twice per merge is exactly what a min-heap keyed on (weight, node index)
+// pops, so the code lengths match that construction bit for bit.
 func huffmanCodeLengths(freq []int) ([]int, error) {
-	var nodes []huffNode
-	var live []int
+	out := make([]int, len(freq))
+	var syms []int // leaf index -> symbol
 	for s, f := range freq {
 		if f > 0 {
-			nodes = append(nodes, huffNode{weight: f, sym: s, left: -1, right: -1})
-			live = append(live, len(nodes)-1)
+			syms = append(syms, s)
 		}
 	}
-	if len(live) == 0 {
-		return make([]int, len(freq)), nil
-	}
-	if len(live) == 1 {
-		out := make([]int, len(freq))
-		out[nodes[live[0]].sym] = 1
+	m := len(syms)
+	if m == 0 {
 		return out, nil
 	}
-	h := &nodeHeap{nodes: &nodes, idx: live}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		nodes = append(nodes, huffNode{
-			weight: nodes[a].weight + nodes[b].weight,
-			sym:    -1, left: a, right: b,
-		})
-		heap.Push(h, len(nodes)-1)
+	if m == 1 {
+		out[syms[0]] = 1
+		return out, nil
 	}
-	root := h.idx[0]
-	out := make([]int, len(freq))
-	var walk func(n, depth int) error
-	walk = func(n, depth int) error {
-		if depth > maxHuffmanCodeLen {
-			return fmt.Errorf("encoding: huffman code too long (%d)", depth)
-		}
-		nd := nodes[n]
-		if nd.sym >= 0 {
-			out[nd.sym] = depth
-			return nil
-		}
-		if err := walk(nd.left, depth+1); err != nil {
-			return err
-		}
-		return walk(nd.right, depth+1)
+	// Nodes 0..m-1 are the leaves, m.. the internal nodes in creation order.
+	weight := make([]int, 2*m-1)
+	parent := make([]int32, 2*m-1)
+	leaves := make([]int32, m)
+	for i, s := range syms {
+		weight[i] = freq[s]
+		leaves[i] = int32(i)
 	}
-	if err := walk(root, 0); err != nil {
-		return nil, err
+	slices.SortFunc(leaves, func(a, b int32) int {
+		if weight[a] != weight[b] {
+			return weight[a] - weight[b]
+		}
+		return int(a - b)
+	})
+	li, next, qi := 0, m, m // leaf head, next internal node, internal head
+	pop := func() int {
+		// Internal nodes have higher indexes than every leaf, so a weight
+		// tie goes to the leaf, as in the heap.
+		if li < m && (qi == next || weight[leaves[li]] <= weight[qi]) {
+			li++
+			return int(leaves[li-1])
+		}
+		qi++
+		return qi - 1
+	}
+	for next < 2*m-1 {
+		a, b := pop(), pop()
+		weight[next] = weight[a] + weight[b]
+		parent[a], parent[b] = int32(next), int32(next)
+		next++
+	}
+	// Parents come after their children, so one backward pass sets depths.
+	depth := make([]int, 2*m-1)
+	for n := 2*m - 3; n >= 0; n-- {
+		depth[n] = depth[parent[n]] + 1
+		if depth[n] > maxHuffmanCodeLen {
+			return nil, fmt.Errorf("encoding: huffman code too long (%d)", depth[n])
+		}
+	}
+	for i, s := range syms {
+		out[s] = depth[i]
 	}
 	return out, nil
 }
 
-// huffNode is one node of the Huffman construction forest; leaves carry a
-// symbol (sym >= 0), internal nodes carry child indexes.
-type huffNode struct {
-	weight      int
-	sym         int
-	left, right int
-}
-
-type nodeHeap struct {
-	nodes *[]huffNode
-	idx   []int
-}
-
-func (h *nodeHeap) Len() int { return len(h.idx) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := (*h.nodes)[h.idx[i]], (*h.nodes)[h.idx[j]]
-	if a.weight != b.weight {
-		return a.weight < b.weight
+// huffmanSize is the length huffmanEncode writes for an alphabet with the
+// given frequencies and code lengths: the length table, the bit count and
+// the stream of sum(freq * length) bits.
+func huffmanSize(freq, lengths []int) int {
+	size := uvarintLen(uint64(len(lengths)))
+	totalBits := 0
+	for s, l := range lengths {
+		size += uvarintLen(uint64(l))
+		totalBits += freq[s] * l
 	}
-	return h.idx[i] < h.idx[j] // deterministic tie-break
-}
-func (h *nodeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
+	return size + uvarintLen(uint64(totalBits)) + (totalBits+7)/8
 }
 
 // canonicalCodes assigns canonical codes (numerically increasing with length,
 // then symbol order) from code lengths. Returns code bits per symbol.
 func canonicalCodes(lengths []int) []uint64 {
-	type sl struct{ sym, length int }
-	var syms []sl
-	for s, l := range lengths {
+	maxLen := slices.Max(append([]int{0}, lengths...))
+	count := make([]uint64, maxLen+1)
+	for _, l := range lengths {
 		if l > 0 {
-			syms = append(syms, sl{s, l})
+			count[l]++
 		}
 	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].length != syms[j].length {
-			return syms[i].length < syms[j].length
-		}
-		return syms[i].sym < syms[j].sym
-	})
-	codes := make([]uint64, len(lengths))
+	// next[l] starts at the first code of length l, as the decoder's
+	// firstCode table does.
+	next := make([]uint64, maxLen+1)
 	var code uint64
-	prevLen := 0
-	for _, s := range syms {
-		code <<= uint(s.length - prevLen)
-		codes[s.sym] = code
-		code++
-		prevLen = s.length
+	for l := 1; l <= maxLen; l++ {
+		next[l] = code
+		code = (code + count[l]) << 1
+	}
+	codes := make([]uint64, len(lengths))
+	for s, l := range lengths {
+		if l > 0 {
+			codes[s] = next[l]
+			next[l]++
+		}
 	}
 	return codes
 }

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -14,42 +15,45 @@ import (
 
 func encodeRLE(buf []byte, v *vector.Vector) ([]byte, error) {
 	n := v.PhysLen()
-	type run struct {
-		start int
-		count int
+	runs := 0
+	for i := 0; i < n; i = runEnd(v, i) {
+		runs++
 	}
-	var runs []run
-	for i := 0; i < n; i++ {
-		if len(runs) > 0 && sameSlot(v, runs[len(runs)-1].start, i) {
-			runs[len(runs)-1].count++
-			continue
-		}
-		runs = append(runs, run{start: i, count: 1})
-	}
-	buf = appendUvarint(buf, uint64(len(runs)))
-	for _, r := range runs {
-		buf = rawValueAppend(buf, v.Typ, v, r.start)
-		buf = appendUvarint(buf, uint64(r.count))
+	buf = appendUvarint(buf, uint64(runs))
+	for i := 0; i < n; {
+		j := runEnd(v, i)
+		buf = rawValueAppend(buf, v.Typ, v, i)
+		buf = appendUvarint(buf, uint64(j-i))
+		i = j
 	}
 	return buf, nil
 }
 
-// sameSlot reports whether physical slots i and j hold identical content
-// (treating any two NULL slots as equal for run purposes only when their
-// zero values also match, which they always do).
-func sameSlot(v *vector.Vector, i, j int) bool {
-	ni, nj := v.NullAt(i), v.NullAt(j)
-	if ni != nj {
-		return false
-	}
+// runEnd returns the end of the run of slots identical to slot i: the same
+// NULL flag and the same stored bits (so -0.0 never joins a run of 0.0;
+// NULL slots all hold the zero value).
+func runEnd(v *vector.Vector, i int) int {
+	n := v.PhysLen()
+	j := i + 1
+	null := v.NullAt(i)
 	switch v.Typ {
 	case types.Float64:
-		return v.Floats[i] == v.Floats[j]
+		b := math.Float64bits(v.Floats[i])
+		for j < n && math.Float64bits(v.Floats[j]) == b && v.NullAt(j) == null {
+			j++
+		}
 	case types.Varchar:
-		return v.Strs[i] == v.Strs[j]
+		s := v.Strs[i]
+		for j < n && v.Strs[j] == s && v.NullAt(j) == null {
+			j++
+		}
 	default:
-		return v.Ints[i] == v.Ints[j]
+		x := v.Ints[i]
+		for j < n && v.Ints[j] == x && v.NullAt(j) == null {
+			j++
+		}
 	}
+	return j
 }
 
 func decodeRLE(b []byte, t types.Type, n int, preserveRuns bool) (*vector.Vector, error) {

@@ -1,6 +1,9 @@
 package encoding
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Varint / zigzag / bit-packing primitives shared by the block encoders.
 
@@ -15,6 +18,12 @@ func appendVarint(buf []byte, v int64) []byte {
 func uvarint(b []byte) (uint64, int) { return binary.Uvarint(b) }
 
 func varint(b []byte) (int64, int) { return binary.Varint(b) }
+
+// uvarintLen is the length appendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the length appendVarint writes for v (zigzag, then uvarint).
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 func appendUint64(buf []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v)

@@ -563,7 +563,7 @@ func (st *groupState) sortedPartialRows() []types.Row {
 	}
 	slices.SortFunc(perm, func(x, y int) int {
 		for _, k := range st.keys.cols {
-			if c := colCompare(k, x, k, y); c != 0 {
+			if c := vector.CompareAt(k, x, k, y); c != 0 {
 				return c
 			}
 		}

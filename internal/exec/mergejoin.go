@@ -215,7 +215,7 @@ func (j *MergeJoin) loadGroup(ctx *Ctx, keys []*vector.Vector, i int) error {
 // possibly different numeric types.
 func keyCompare(a *vector.Vector, i int, b *vector.Vector, j int) int {
 	if a.Typ == b.Typ || (intClass(a.Typ) && intClass(b.Typ)) {
-		return colCompare(a, i, b, j)
+		return vector.CompareAt(a, i, b, j)
 	}
 	return a.ValueAt(i).Compare(b.ValueAt(j))
 }

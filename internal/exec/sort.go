@@ -4,9 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"math"
 	"slices"
-	"strings"
 	"unsafe"
 
 	"repro/internal/types"
@@ -31,41 +29,6 @@ func compareRows(a, b types.Row, specs []SortSpec) int {
 		}
 	}
 	return 0
-}
-
-// colCompare orders entry i of a against entry j of b, two flat vectors
-// of one type (NULLS FIRST; -0.0 equals 0.0).
-func colCompare(a *vector.Vector, i int, b *vector.Vector, j int) int {
-	switch ni, nj := a.NullAt(i), b.NullAt(j); {
-	case ni && nj:
-		return 0
-	case ni:
-		return -1
-	case nj:
-		return 1
-	}
-	switch a.Typ {
-	case types.Float64:
-		x, y := a.Floats[i], b.Floats[j]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	case types.Varchar:
-		return strings.Compare(a.Strs[i], b.Strs[j])
-	default:
-		x, y := a.Ints[i], b.Ints[j]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	}
 }
 
 // Sort sorts its input (paper §6.1 operator 5: "sorts incoming data,
@@ -184,41 +147,6 @@ func newSorter(ctx *Ctx, prof *OpProf, specs []SortSpec, schema *types.Schema) *
 	return &sorter{ctx: ctx, prof: prof, specs: specs, typs: schemaTypes(schema), budget: ctx.MemBudget}
 }
 
-// normKey maps physical entry r of v to a uint64 ordered like the value:
-// NULL lowest, then integers with the sign bit flipped, floats by the
-// IEEE total-order trick (-0.0 folded into 0.0), strings by their first
-// eight bytes. Equal normalised keys only mean "compare the columns".
-func normKey(v *vector.Vector, r int, desc bool) uint64 {
-	var k uint64
-	switch {
-	case v.NullAt(r):
-	case v.Typ == types.Float64:
-		f := v.Floats[r]
-		if f == 0 {
-			f = 0
-		}
-		if b := math.Float64bits(f); b>>63 != 0 {
-			k = ^b
-		} else {
-			k = b | 1<<63
-		}
-	case v.Typ == types.Varchar:
-		s := v.Strs[r]
-		for i := 0; i < 8; i++ {
-			k <<= 8
-			if i < len(s) {
-				k |= uint64(s[i])
-			}
-		}
-	default:
-		k = uint64(v.Ints[r]) ^ 1<<63
-	}
-	if desc {
-		return ^k
-	}
-	return k
-}
-
 // add buffers a batch and charges the buffer to the budget, renegotiating
 // the grant at the threshold and spilling a sorted run on denial.
 func (s *sorter) add(in *vector.Batch) error {
@@ -253,7 +181,7 @@ func (s *sorter) sortEntries() {
 	for ci, c := range s.chunks {
 		v := c.Cols[first.Col]
 		for r := 0; r < v.PhysLen(); r++ {
-			s.ents = append(s.ents, sortEntry{key: normKey(v, r, first.Desc), chunk: int32(ci), row: int32(r)})
+			s.ents = append(s.ents, sortEntry{key: vector.NormKey(v, r, first.Desc), chunk: int32(ci), row: int32(r)})
 		}
 	}
 	slices.SortFunc(s.ents, func(a, b sortEntry) int {
@@ -265,7 +193,7 @@ func (s *sorter) sortEntries() {
 		}
 		ca, cb := s.chunks[a.chunk].Cols, s.chunks[b.chunk].Cols
 		for _, sp := range s.specs {
-			if c := colCompare(ca[sp.Col], int(a.row), cb[sp.Col], int(b.row)); c != 0 {
+			if c := vector.CompareAt(ca[sp.Col], int(a.row), cb[sp.Col], int(b.row)); c != 0 {
 				if sp.Desc {
 					return -c
 				}

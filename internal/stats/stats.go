@@ -29,7 +29,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -166,9 +166,46 @@ func (b *Builder) Build(buckets int) *ColumnStats {
 		cs.NDV = nn // a sketch can never legitimately exceed the row count
 	}
 	if len(b.sample) > 0 {
-		sorted := append([]types.Value{}, b.sample...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
-		cs.Hist = buildHistogram(sorted, buckets, cs.NonNull())
+		cs.Hist = buildHistogram(sortSample(b.sample), buckets, cs.NonNull())
 	}
 	return cs
+}
+
+// sortSample returns a copy of the sample in stable Value.Compare order.
+// Integers and strings, whose equal values are indistinguishable, sort as
+// plain typed slices (pdqsort); anything else, such as floats, where -0.0
+// and 0.0 compare equal but differ, takes a stable sort with the same
+// comparison.
+func sortSample(sample []types.Value) []types.Value {
+	sorted := slices.Clone(sample)
+	typ := sorted[0].Typ
+	for _, v := range sorted {
+		if v.Typ != typ {
+			typ = types.Invalid
+			break
+		}
+	}
+	switch typ {
+	case types.Int64, types.Timestamp, types.Bool:
+		ints := make([]int64, len(sorted))
+		for i, v := range sorted {
+			ints[i] = v.I
+		}
+		slices.Sort(ints)
+		for i, x := range ints {
+			sorted[i].I = x
+		}
+	case types.Varchar:
+		strs := make([]string, len(sorted))
+		for i, v := range sorted {
+			strs[i] = v.S
+		}
+		slices.Sort(strs)
+		for i, s := range strs {
+			sorted[i].S = s
+		}
+	default:
+		slices.SortStableFunc(sorted, types.Value.Compare)
+	}
+	return sorted
 }

@@ -267,26 +267,29 @@ func (r *ContainerReader) FetchPositions(c int, positions []int64) (*vector.Vect
 func (r *ContainerReader) ReadAll(cols []int) (*vector.Batch, error) {
 	out := &vector.Batch{Cols: make([]*vector.Vector, len(cols))}
 	for i, c := range cols {
-		full := vector.New(r.Meta.Cols[c].Typ, int(r.Meta.RowCount))
+		out.Cols[i] = vector.New(r.Meta.Cols[c].Typ, int(r.Meta.RowCount))
+	}
+	if err := r.AppendAll(out.Cols, cols); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendAll appends every row of the given columns, deleted ones
+// included, to the flat vectors dst (one per column).
+func (r *ContainerReader) AppendAll(dst []*vector.Vector, cols []int) error {
+	for i, c := range cols {
 		it := r.NewColumnIter(c, nil)
 		for {
 			v, _, err := it.Next()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if v == nil {
 				break
 			}
-			v = v.Expand()
-			for j := 0; j < v.PhysLen(); j++ {
-				if v.NullAt(j) {
-					full.AppendNull()
-				} else {
-					full.AppendValue(v.ValueAt(j))
-				}
-			}
+			dst[i].AppendFrom(v.Expand(), nil)
 		}
-		out.Cols[i] = full
 	}
-	return out, nil
+	return nil
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/vector"
 )
 
-// ContainerWriter streams sorted batches into a new ROS container directory.
-// The caller is responsible for sort order (moveout/mergeout/bulk load sort
+// ContainerWriter streams sorted columns into a new ROS container
+// directory. The caller is responsible for sort order (WriteSorted sorts
 // before writing) and for supplying the implicit epoch column if desired.
 //
 // The container is written into a temporary directory and atomically renamed
@@ -75,126 +75,63 @@ func NewContainerWriter(dir string, meta *ContainerMeta, opts WriterOpts) (*Cont
 	return w, nil
 }
 
-// Append adds a batch (flat or RLE; any selection is honoured). Columns must
-// be positionally aligned with the container spec.
-func (w *ContainerWriter) Append(b *vector.Batch) error {
-	if len(b.Cols) != len(w.meta.Cols) {
-		return fmt.Errorf("storage: batch has %d cols, container expects %d", len(b.Cols), len(w.meta.Cols))
-	}
-	fb := b
-	if b.Sel != nil {
-		fb = b.Flatten()
-	} else {
-		fb.ExpandRLE()
-	}
-	n := fb.Len()
-	for r := 0; r < n; r++ {
-		for c := range w.pending {
-			col := fb.Cols[c]
-			if col.NullAt(r) {
-				w.pending[c].AppendNull()
-			} else {
-				w.pending[c].AppendValue(col.ValueAt(r))
-			}
-		}
-	}
-	w.rows += int64(n)
-	return w.flushFullBlocks(false)
-}
-
-// AppendColumns adds pre-built column vectors directly (fast path used by
-// bulk load; avoids per-value copies when the caller already has full
-// columns). All vectors must be flat and the same length.
+// AppendColumns adds column vectors (RLE ones are expanded) of equal
+// length. Full blocks are encoded straight from the caller's columns; only
+// a trailing partial block is copied, to wait for the next append.
 func (w *ContainerWriter) AppendColumns(cols []*vector.Vector) error {
 	if len(cols) != len(w.meta.Cols) {
 		return fmt.Errorf("storage: got %d cols, container expects %d", len(cols), len(w.meta.Cols))
 	}
-	n := cols[0].Len()
+	flat := make([]*vector.Vector, len(cols))
 	for c, col := range cols {
-		if col.IsRLE() {
-			col = col.Expand()
-		}
-		if col.Len() != n {
-			return fmt.Errorf("storage: ragged columns (%d vs %d)", col.Len(), n)
-		}
-		// Append values wholesale into pending.
-		dst := w.pending[c]
-		switch dst.Typ {
-		case types.Float64:
-			dst.Floats = append(dst.Floats, col.Floats...)
-		case types.Varchar:
-			dst.Strs = append(dst.Strs, col.Strs...)
-		default:
-			dst.Ints = append(dst.Ints, col.Ints...)
-		}
-		if col.Nulls != nil || dst.Nulls != nil {
-			if dst.Nulls == nil {
-				dst.Nulls = make([]bool, dst.PhysLen()-col.Len())
-			}
-			if col.Nulls != nil {
-				dst.Nulls = append(dst.Nulls, col.Nulls...)
-			} else {
-				dst.Nulls = append(dst.Nulls, make([]bool, col.Len())...)
-			}
+		flat[c] = col.Expand()
+		if flat[c].Len() != flat[0].Len() {
+			return fmt.Errorf("storage: ragged columns (%d vs %d)", flat[c].Len(), flat[0].Len())
 		}
 	}
+	n := flat[0].Len()
 	w.rows += int64(n)
-	return w.flushFullBlocks(false)
-}
-
-func (w *ContainerWriter) flushFullBlocks(final bool) error {
-	for {
-		n := w.pending[0].PhysLen()
-		if n == 0 || (n < w.blockRows && !final) {
-			return nil
+	off := 0
+	if w.pending[0].PhysLen() > 0 {
+		// Top up the pending block first.
+		off = min(n, w.blockRows-w.pending[0].PhysLen())
+		for c, col := range flat {
+			w.pending[c].AppendFrom(col.Slice(0, off), nil)
 		}
-		take := n
-		if take > w.blockRows {
-			take = w.blockRows
+		if err := w.flushFullBlocks(false); err != nil {
+			return err
 		}
-		for c := range w.pending {
-			block := slicePrefix(w.pending[c], take)
-			if err := w.writeBlock(c, block); err != nil {
+	}
+	for ; n-off >= w.blockRows; off += w.blockRows {
+		for c, col := range flat {
+			if err := w.writeBlock(c, col.Slice(off, off+w.blockRows)); err != nil {
 				return err
 			}
-			w.pending[c] = sliceSuffix(w.pending[c], take)
-		}
-		if take == n && final {
-			return nil
 		}
 	}
+	if off < n {
+		for c, col := range flat {
+			w.pending[c].AppendFrom(col.Slice(off, n), nil)
+		}
+	}
+	return nil
 }
 
-func slicePrefix(v *vector.Vector, n int) *vector.Vector {
-	out := &vector.Vector{Typ: v.Typ}
-	switch v.Typ {
-	case types.Float64:
-		out.Floats = v.Floats[:n]
-	case types.Varchar:
-		out.Strs = v.Strs[:n]
-	default:
-		out.Ints = v.Ints[:n]
+// flushFullBlocks writes the pending rows as one block once they fill it,
+// or whatever is pending when final. Pending never exceeds one block.
+func (w *ContainerWriter) flushFullBlocks(final bool) error {
+	n := w.pending[0].PhysLen()
+	if n == 0 || (n < w.blockRows && !final) {
+		return nil
 	}
-	if v.Nulls != nil {
-		out.Nulls = v.Nulls[:n]
+	for c, p := range w.pending {
+		if err := w.writeBlock(c, p); err != nil {
+			return err
+		}
+		// The encoded block copied everything it keeps: reuse the buffers.
+		p.Ints, p.Floats, p.Strs, p.Nulls = p.Ints[:0], p.Floats[:0], p.Strs[:0], nil
 	}
-	return out
-}
-
-func sliceSuffix(v *vector.Vector, n int) *vector.Vector {
-	out := &vector.Vector{Typ: v.Typ}
-	switch v.Typ {
-	case types.Float64:
-		out.Floats = append(out.Floats, v.Floats[n:]...)
-	case types.Varchar:
-		out.Strs = append(out.Strs, v.Strs[n:]...)
-	default:
-		out.Ints = append(out.Ints, v.Ints[n:]...)
-	}
-	if v.Nulls != nil {
-		out.Nulls = append(out.Nulls, v.Nulls[n:]...)
-	}
-	return out
+	return nil
 }
 
 func (w *ContainerWriter) writeBlock(c int, block *vector.Vector) error {
@@ -290,7 +227,7 @@ func WriteContainerFromBatch(dir string, meta *ContainerMeta, b *vector.Batch, o
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Append(b); err != nil {
+	if err := w.AppendColumns(b.Flatten().Cols); err != nil {
 		w.Abort()
 		return nil, err
 	}

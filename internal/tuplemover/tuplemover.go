@@ -16,7 +16,6 @@
 package tuplemover
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
 	"sort"
@@ -40,11 +39,9 @@ type Config struct {
 	SortKey []int
 	// Encodings maps column name to its storage spec (Auto when absent).
 	Encodings map[string]storage.ColumnSpec
-	// PartitionOf computes the table's partition key for a row ("" when the
-	// table is unpartitioned).
-	PartitionOf func(types.Row) (string, error)
-	// LocalSegmentOf assigns a row to an intra-node local segment.
-	LocalSegmentOf func(types.Row) int
+	// Place assigns rows their partition key and local segment (every row
+	// goes to partition "", local segment 0 when nil).
+	Place storage.Placer
 
 	// BlockRows overrides the encoded block size (tests).
 	BlockRows int
@@ -78,11 +75,10 @@ func New(cfg Config) (*TupleMover, error) {
 	if cfg.MinMergeCount < 2 {
 		cfg.MinMergeCount = 2
 	}
-	if cfg.PartitionOf == nil {
-		cfg.PartitionOf = func(types.Row) (string, error) { return "", nil }
-	}
-	if cfg.LocalSegmentOf == nil {
-		cfg.LocalSegmentOf = func(types.Row) int { return 0 }
+	if cfg.Place == nil {
+		cfg.Place = func(_ []*vector.Vector, n int) ([]storage.Placement, error) {
+			return make([]storage.Placement, n), nil
+		}
 	}
 	return &TupleMover{cfg: cfg}, nil
 }
@@ -112,30 +108,17 @@ func (tm *TupleMover) moveout() (int, error) {
 		cfg.Epochs.SetLGE(cfg.Projection, bound)
 		return 0, nil
 	}
-	// Group rows by (partition, local segment).
-	type groupKey struct {
-		part string
-		seg  int
+	// The snapshot as typed columns, the epoch column last.
+	batch := vector.NewBatchForSchema(cfg.Mgr.Schema(), len(rows))
+	epochs := make([]int64, len(rows))
+	for i, r := range rows {
+		batch.AppendRow(r.Row)
+		epochs[i] = int64(r.Epoch)
 	}
-	groups := map[groupKey][]storage.WOSRow{}
-	for _, r := range rows {
-		part, err := cfg.PartitionOf(r.Row)
-		if err != nil {
-			return 0, fmt.Errorf("tuplemover: partition expression: %w", err)
-		}
-		k := groupKey{part, cfg.LocalSegmentOf(r.Row)}
-		groups[k] = append(groups[k], r)
+	place, err := cfg.Place(batch.Cols, len(rows))
+	if err != nil {
+		return 0, fmt.Errorf("tuplemover: partition expression: %w", err)
 	}
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].part != keys[j].part {
-			return keys[i].part < keys[j].part
-		}
-		return keys[i].seg < keys[j].seg
-	})
 
 	// WOS delete vectors, indexed by position for translation.
 	wosDVs := cfg.Mgr.DVs().Get(storage.WOSTarget)
@@ -157,61 +140,43 @@ func (tm *TupleMover) moveout() (int, error) {
 			commit.DrainThrough = r.Pos
 		}
 	}
-	for _, k := range keys {
-		g := groups[k]
-		// Sort by the projection sort order (stable to keep epoch runs long).
-		sort.SliceStable(g, func(i, j int) bool {
-			return g[i].Row.Compare(g[j].Row, cfg.SortKey) < 0
-		})
-		minE, maxE := g[0].Epoch, g[0].Epoch
-		for _, r := range g {
-			if r.Epoch < minE {
-				minE = r.Epoch
-			}
-			if r.Epoch > maxE {
-				maxE = r.Epoch
-			}
+	cols := append(batch.Cols, vector.NewFromInts(types.Int64, epochs))
+	for _, g := range storage.GroupByPlacement(place, nil) {
+		minE, maxE := rows[g.Rows[0]].Epoch, rows[g.Rows[0]].Epoch
+		for _, i := range g.Rows {
+			minE, maxE = min(minE, rows[i].Epoch), max(maxE, rows[i].Epoch)
 		}
 		id, dir := cfg.Mgr.NewContainerID()
 		meta := &storage.ContainerMeta{
 			ID:           id,
 			Projection:   cfg.Projection,
 			Cols:         cfg.Mgr.StoredColumns(cfg.Encodings),
-			Partition:    k.part,
-			LocalSegment: k.seg,
+			Partition:    g.Partition,
+			LocalSegment: g.LocalSegment,
 			MinEpoch:     minE,
 			MaxEpoch:     maxE,
 		}
-		w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{BlockRows: cfg.BlockRows})
+		// A stable sort keeps equal keys in WOS order, so epoch runs stay long.
+		perm, err := storage.WriteSorted(dir, meta, cols, g.Rows, cfg.SortKey, storage.WriterOpts{BlockRows: cfg.BlockRows})
 		if err != nil {
 			cleanup()
 			return 0, err
 		}
-		batch := vector.NewBatchForSchema(storedSchema(cfg.Mgr.Schema()), len(g))
+		writtenDirs = append(writtenDirs, dir)
 		var dvEntries []storage.DVEntry
-		for pos, r := range g {
-			full := append(r.Row.Clone(), types.NewInt(int64(r.Epoch)))
-			batch.AppendRow(full)
-			if de, ok := dvByPos[r.Pos]; ok {
-				dvEntries = append(dvEntries, storage.DVEntry{Pos: int64(pos), Epoch: de})
-				translated[r.Pos] = true
+		if len(dvByPos) > 0 {
+			for pos, i := range perm {
+				if de, ok := dvByPos[rows[i].Pos]; ok {
+					dvEntries = append(dvEntries, storage.DVEntry{Pos: int64(pos), Epoch: de})
+					translated[rows[i].Pos] = true
+				}
 			}
 		}
-		if err := w.Append(batch); err != nil {
-			w.Abort()
-			cleanup()
-			return 0, err
-		}
-		if _, err := w.Close(); err != nil {
-			cleanup()
-			return 0, err
-		}
-		writtenDirs = append(writtenDirs, dir)
 		commit.Metas = append(commit.Metas, meta)
 		if len(dvEntries) > 0 {
 			commit.DVs[id] = dvEntries
 		}
-		moved += len(g)
+		moved += len(g.Rows)
 	}
 	// Retain only WOS delete vectors that referenced undrained rows. The
 	// X/T lock conflict guarantees no delete commits during a mover cycle,
@@ -257,13 +222,6 @@ func (tm *TupleMover) MoveoutDeleteVectors() error {
 		}
 	}
 	return nil
-}
-
-func storedSchema(s *types.Schema) *types.Schema {
-	cols := make([]types.Column, 0, s.Len()+1)
-	cols = append(cols, s.Cols...)
-	cols = append(cols, types.Column{Name: storage.EpochColumn, Typ: types.Int64})
-	return types.NewSchema(cols...)
 }
 
 // Stratum returns the exponential stratum index of a container size:
@@ -361,141 +319,79 @@ func (tm *TupleMover) pickMergeInputs(rs []*storage.ContainerReader) []*storage.
 	return nil
 }
 
-// containerCursor walks one container's rows in stored order for the k-way
-// merge. Rows are surfaced with their deletion epoch (0 = not deleted).
-type containerCursor struct {
-	rows    []types.Row // including trailing epoch column
-	deleted map[int64]types.Epoch
-	pos     int
-}
-
-func (c *containerCursor) current() types.Row { return c.rows[c.pos] }
-
-// mergeHeap orders cursors by their current row under the sort key.
-type mergeHeap struct {
-	cur     []*containerCursor
-	sortKey []int
-}
-
-func (h *mergeHeap) Len() int { return len(h.cur) }
-func (h *mergeHeap) Less(i, j int) bool {
-	return h.cur[i].current().Compare(h.cur[j].current(), h.sortKey) < 0
-}
-func (h *mergeHeap) Swap(i, j int)      { h.cur[i], h.cur[j] = h.cur[j], h.cur[i] }
-func (h *mergeHeap) Push(x interface{}) { h.cur = append(h.cur, x.(*containerCursor)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.cur
-	n := len(old)
-	x := old[n-1]
-	h.cur = old[:n-1]
-	return x
-}
-
+// mergeContainers merges inputs into one container: their rows are read
+// as columns in input order, rows deleted at or before the AHM are left
+// out, and the rest are written sorted — stably, so rows with equal sort
+// keys keep input-container order. Surviving delete vectors follow their
+// rows to the output positions.
 func (tm *TupleMover) mergeContainers(inputs []*storage.ContainerReader, part string, seg int, ahm types.Epoch) error {
 	cfg := &tm.cfg
 	start := time.Now()
-	var inBytes int64
+	var inBytes, total int64
 	for _, in := range inputs {
 		inBytes += in.Meta.SizeBytes
+		total += in.Meta.RowCount
 	}
-	nCols := len(inputs[0].Meta.Cols)
-	colIdx := make([]int, nCols)
-	for i := range colIdx {
+	specs := inputs[0].Meta.Cols
+	cols := make([]*vector.Vector, len(specs))
+	colIdx := make([]int, len(specs))
+	for i, c := range specs {
+		cols[i] = vector.New(c.Typ, int(total))
 		colIdx[i] = i
 	}
-	h := &mergeHeap{sortKey: cfg.SortKey}
+	sel := make([]int, 0, total)
+	kept := map[int]types.Epoch{} // merged row -> epoch of a delete kept past the AHM
 	var minE, maxE types.Epoch
 	maxLevel := 0
 	for _, in := range inputs {
-		batch, err := in.ReadAll(colIdx)
-		if err != nil {
+		base := cols[0].PhysLen()
+		if err := in.AppendAll(cols, colIdx); err != nil {
 			return err
 		}
-		cur := &containerCursor{deleted: map[int64]types.Epoch{}}
-		cur.rows = batch.Rows()
+		deleted := map[int]types.Epoch{}
 		for _, e := range cfg.Mgr.DVs().Get(in.Meta.ID) {
-			cur.deleted[e.Pos] = e.Epoch
+			deleted[int(e.Pos)] = e.Epoch
 		}
-		if len(cur.rows) > 0 {
-			// Tag rows with their in-container position via index map: we
-			// walk positions alongside rows using cur.pos, so nothing extra
-			// is needed — position == row index.
-			h.cur = append(h.cur, cur)
+		for r := 0; r < cols[0].PhysLen()-base; r++ {
+			if e, ok := deleted[r]; ok {
+				if e <= ahm {
+					// "Whenever the tuple mover observes a row deleted prior
+					// to the AHM, it elides the row from the output" (§5.1).
+					continue
+				}
+				kept[base+r] = e
+			}
+			sel = append(sel, base+r)
 		}
 		if minE == 0 || in.Meta.MinEpoch < minE {
 			minE = in.Meta.MinEpoch
 		}
-		if in.Meta.MaxEpoch > maxE {
-			maxE = in.Meta.MaxEpoch
-		}
-		if in.Meta.MergeLevel > maxLevel {
-			maxLevel = in.Meta.MergeLevel
-		}
+		maxE = max(maxE, in.Meta.MaxEpoch)
+		maxLevel = max(maxLevel, in.Meta.MergeLevel)
 	}
-	heap.Init(h)
 
 	id, dir := cfg.Mgr.NewContainerID()
 	meta := &storage.ContainerMeta{
 		ID:           id,
 		Projection:   cfg.Projection,
-		Cols:         inputs[0].Meta.Cols,
+		Cols:         specs,
 		Partition:    part,
 		LocalSegment: seg,
 		MinEpoch:     minE,
 		MaxEpoch:     maxE,
 		MergeLevel:   maxLevel + 1,
 	}
-	w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{BlockRows: cfg.BlockRows})
+	perm, err := storage.WriteSorted(dir, meta, cols, sel, cfg.SortKey, storage.WriterOpts{BlockRows: cfg.BlockRows})
 	if err != nil {
 		return err
 	}
-	outSchema := storedSchemaFromCols(inputs[0].Meta.Cols)
-	batch := vector.NewBatchForSchema(outSchema, storage.DefaultBlockRows)
 	var outDVs []storage.DVEntry
-	outPos := int64(0)
-	flush := func() error {
-		if batch.Len() == 0 {
-			return nil
-		}
-		if err := w.Append(batch); err != nil {
-			return err
-		}
-		batch = vector.NewBatchForSchema(outSchema, storage.DefaultBlockRows)
-		return nil
-	}
-	for h.Len() > 0 {
-		cur := h.cur[0]
-		row := cur.current()
-		delEpoch, isDeleted := cur.deleted[int64(cur.pos)]
-		cur.pos++
-		if cur.pos >= len(cur.rows) {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-		if isDeleted && delEpoch <= ahm {
-			// "Whenever the tuple mover observes a row deleted prior to the
-			// AHM, it elides the row from the output" (§5.1).
-			continue
-		}
-		batch.AppendRow(row)
-		if isDeleted {
-			outDVs = append(outDVs, storage.DVEntry{Pos: outPos, Epoch: delEpoch})
-		}
-		outPos++
-		if batch.Len() >= storage.DefaultBlockRows {
-			if err := flush(); err != nil {
-				w.Abort()
-				return err
+	if len(kept) > 0 {
+		for pos, r := range perm {
+			if e, ok := kept[r]; ok {
+				outDVs = append(outDVs, storage.DVEntry{Pos: int64(pos), Epoch: e})
 			}
 		}
-	}
-	if err := flush(); err != nil {
-		w.Abort()
-		return err
-	}
-	if _, err := w.Close(); err != nil {
-		return err
 	}
 	ids := make([]string, len(inputs))
 	for i, in := range inputs {
@@ -521,14 +417,6 @@ func (tm *TupleMover) mergeContainers(inputs []*storage.ContainerReader, part st
 		Duration:   time.Since(start),
 	})
 	return nil
-}
-
-func storedSchemaFromCols(cols []storage.ColumnSpec) *types.Schema {
-	out := make([]types.Column, len(cols))
-	for i, c := range cols {
-		out[i] = types.Column{Name: c.Name, Typ: c.Typ}
-	}
-	return types.NewSchema(out...)
 }
 
 // Run performs one tuple mover cycle: moveout, DV moveout, then repeated

@@ -7,6 +7,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 type fixture struct {
@@ -155,8 +156,12 @@ func TestMoveoutPreservesPartitionBoundaries(t *testing.T) {
 	em := txn.NewEpochManager()
 	tm, _ := New(Config{
 		Projection: "p", Mgr: mgr, Epochs: em, SortKey: []int{0},
-		PartitionOf: func(r types.Row) (string, error) {
-			return fmt.Sprintf("m%d", r[1].I), nil
+		Place: func(cols []*vector.Vector, n int) ([]storage.Placement, error) {
+			pl := make([]storage.Placement, n)
+			for i := range pl {
+				pl[i].Partition = fmt.Sprintf("m%d", cols[1].Ints[i])
+			}
+			return pl, nil
 		},
 	})
 	e := em.CommitDML()
@@ -279,8 +284,13 @@ func TestMergeoutPreservesPartitionAndSegmentBoundaries(t *testing.T) {
 	em := txn.NewEpochManager()
 	tm, _ := New(Config{
 		Projection: "p", Mgr: mgr, Epochs: em, SortKey: []int{0},
-		PartitionOf:    func(r types.Row) (string, error) { return fmt.Sprintf("m%d", r[0].I%2), nil },
-		LocalSegmentOf: func(r types.Row) int { return int(r[0].I % 3) },
+		Place: func(cols []*vector.Vector, n int) ([]storage.Placement, error) {
+			pl := make([]storage.Placement, n)
+			for i, k := range cols[0].Ints {
+				pl[i] = storage.Placement{Partition: fmt.Sprintf("m%d", k%2), LocalSegment: int(k % 3)}
+			}
+			return pl, nil
+		},
 	})
 	for i := 0; i < 3; i++ {
 		var rows []types.Row

@@ -265,9 +265,29 @@ func (v *Vector) Gather(idx []int) *Vector {
 	if v.RunLens != nil {
 		panic("vector: Gather on RLE vector")
 	}
-	out := New(v.Typ, len(idx))
-	for _, i := range idx {
-		out.AppendValue(v.ValueAt(i))
+	out := &Vector{Typ: v.Typ}
+	switch v.Typ {
+	case types.Float64:
+		out.Floats = make([]float64, len(idx))
+		for i, j := range idx {
+			out.Floats[i] = v.Floats[j]
+		}
+	case types.Varchar:
+		out.Strs = make([]string, len(idx))
+		for i, j := range idx {
+			out.Strs[i] = v.Strs[j]
+		}
+	default:
+		out.Ints = make([]int64, len(idx))
+		for i, j := range idx {
+			out.Ints[i] = v.Ints[j]
+		}
+	}
+	if v.Nulls != nil && anyNull(v.Nulls, idx) {
+		out.Nulls = make([]bool, len(idx))
+		for i, j := range idx {
+			out.Nulls[i] = v.Nulls[j]
+		}
 	}
 	return out
 }
@@ -305,25 +325,46 @@ func (v *Vector) HasNulls() bool {
 }
 
 // MinMax returns the minimum and maximum non-NULL values, and ok=false if
-// every row is NULL (or the vector is empty).
+// every row is NULL (or the vector is empty). Ties keep the first entry
+// (so of -0.0 and 0.0, whichever comes first).
 func (v *Vector) MinMax() (mn, mx types.Value, ok bool) {
+	lo, hi := -1, -1
 	for i := 0; i < v.PhysLen(); i++ {
 		if v.NullAt(i) {
 			continue
 		}
-		val := v.ValueAt(i)
-		if !ok {
-			mn, mx, ok = val, val, true
+		if lo < 0 {
+			lo, hi = i, i
 			continue
 		}
-		if val.Compare(mn) < 0 {
-			mn = val
-		}
-		if val.Compare(mx) > 0 {
-			mx = val
+		switch v.Typ {
+		case types.Float64:
+			if v.Floats[i] < v.Floats[lo] {
+				lo = i
+			}
+			if v.Floats[i] > v.Floats[hi] {
+				hi = i
+			}
+		case types.Varchar:
+			if v.Strs[i] < v.Strs[lo] {
+				lo = i
+			}
+			if v.Strs[i] > v.Strs[hi] {
+				hi = i
+			}
+		default:
+			if v.Ints[i] < v.Ints[lo] {
+				lo = i
+			}
+			if v.Ints[i] > v.Ints[hi] {
+				hi = i
+			}
 		}
 	}
-	return mn, mx, ok
+	if lo < 0 {
+		return mn, mx, false
+	}
+	return v.ValueAt(lo), v.ValueAt(hi), true
 }
 
 // String renders a short description for debugging.
