@@ -155,7 +155,7 @@ func estimateTable(cat *catalog.Catalog, t *catalog.Table, conjuncts []expr.Expr
 // one — a ≥10× divergence means the cached plan was sized for a very
 // different slice of the data and triggers a replan.
 func EstimateSelectivity(cat *catalog.Catalog, q *LogicalQuery) (sel float64, statsBacked bool) {
-	perTable, _ := q.splitConjuncts()
+	perTable, _, _ := q.splitConjuncts()
 	offs := q.flatOffsets()
 	sel, statsBacked = 1.0, true
 	for i, t := range q.From {

@@ -51,8 +51,10 @@ type LogicalQuery struct {
 	// to their table's scan, except on the null-supplying side of an outer
 	// join, where they must see the padded rows and run after the join.
 	Where expr.Expr
-	// On holds the non-equi conjuncts of ON clauses. They restrict a table
-	// before it is joined, so they are always pushed to its scan.
+	// On holds the non-equi conjuncts of ON clauses. Those on a table an
+	// outer join does not preserve restrict it before the join and are
+	// pushed to its scan; the rest decide which pairs match, so they are
+	// the join's residual, where an outer join pads instead of dropping.
 	On expr.Expr
 
 	// Plain (non-aggregate) queries: select list over the flat schema.
@@ -253,36 +255,60 @@ func (q *LogicalQuery) neededColumns() columnSet {
 }
 
 // splitConjuncts partitions the ON and WHERE conjuncts into per-table
-// conjuncts (all columns from one table, pushed to its scan) and residuals
-// evaluated over the joined rows: cross-table conjuncts, and WHERE
-// conjuncts on a table an outer join pads with NULLs.
-func (q *LogicalQuery) splitConjuncts() (perTable map[int][]expr.Expr, residual []expr.Expr) {
+// conjuncts (all columns from one table, pushed to its scan), residuals
+// evaluated over the joined rows (cross-table conjuncts, and WHERE
+// conjuncts on a table an outer join pads with NULLs), and the join's own
+// residual: the ON conjuncts of an outer join that touch a table it
+// preserves (or no table), which must pad, not filter, the rows they fail.
+func (q *LogicalQuery) splitConjuncts() (perTable map[int][]expr.Expr, residual, joinResidual []expr.Expr) {
 	perTable = map[int][]expr.Expr{}
 	padded := q.nullSupplied()
+	preserved := q.preserved()
 	split := func(e expr.Expr, where bool) {
 		for _, c := range expr.Conjuncts(e) {
 			tbl := -2
+			touchesPreserved := false
 			for _, f := range expr.ColumnsOf(c) {
 				t, _ := q.tableOfFlat(f)
+				touchesPreserved = touchesPreserved || preserved[t]
 				if tbl == -2 {
 					tbl = t
 				} else if tbl != t {
 					tbl = -1
 				}
 			}
-			if tbl == -2 {
-				tbl = 0 // constant conjunct: attach to table 0
-			}
-			if tbl < 0 || (where && padded[tbl]) {
+			switch {
+			case !where && preserved != nil && (touchesPreserved || tbl == -2):
+				joinResidual = append(joinResidual, c)
+			case tbl == -2:
+				perTable[0] = append(perTable[0], c) // constant conjunct: attach to table 0
+			case tbl < 0 || (where && padded[tbl]):
 				residual = append(residual, c)
-			} else {
+			default:
 				perTable[tbl] = append(perTable[tbl], c)
 			}
 		}
 	}
 	split(q.On, false)
 	split(q.Where, true)
-	return perTable, residual
+	return perTable, residual, joinResidual
+}
+
+// preserved reports which FROM tables an outer join keeps every row of
+// (nil for inner joins).
+func (q *LogicalQuery) preserved() map[int]bool {
+	if len(q.From) != 2 || len(q.JoinConds) == 0 {
+		return nil
+	}
+	switch q.JoinConds[0].Type {
+	case exec.LeftOuterJoin:
+		return map[int]bool{0: true}
+	case exec.RightOuterJoin:
+		return map[int]bool{1: true}
+	case exec.FullOuterJoin:
+		return map[int]bool{0: true, 1: true}
+	}
+	return nil
 }
 
 // nullSupplied reports which FROM tables an outer join pads with NULLs.

@@ -34,7 +34,7 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 	}
 	plan := &PhysicalPlan{}
 	needed := q.neededColumns()
-	perTable, residual := q.splitConjuncts()
+	perTable, residual, onResidual := q.splitConjuncts()
 	offs := q.flatOffsets()
 
 	// Prejoin projection shortcut (paper §3.3): a denormalized projection
@@ -163,10 +163,30 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		if dim.proj != nil {
 			dimDesc = dim.proj.Name
 		}
+		// joinResidual binds the outer join's ON residual to the join's
+		// combined schema: the outer columns, then the dimension's from
+		// innerOff.
+		joinResidual := func(innerOff int) (expr.Expr, error) {
+			if len(onResidual) == 0 {
+				return nil, nil
+			}
+			m := make(map[int]int, len(colMap)+len(dim.colToOut))
+			for k, v := range colMap {
+				m[k] = v
+			}
+			for c, out := range dim.colToOut {
+				m[offs[dim.tblIdx]+c] = innerOff + out
+			}
+			return expr.Remap(expr.MustAnd(onResidual...), m)
+		}
 		// Merge join when both sides are sorted on the join keys
 		// (paper §6.2: merge joins on sorted, compressed columns first).
 		innerOff := curWidth
-		if mj, ok := tryMergeJoin(q, jt, fact, dim, cur, outerKeys, innerKeys); ok {
+		res, err := joinResidual(innerOff)
+		if err != nil {
+			return nil, err
+		}
+		if mj, ok := tryMergeJoin(q, jt, fact, dim, cur, outerKeys, innerKeys, res); ok {
 			cur = mj
 			plan.Notes = append(plan.Notes, fmt.Sprintf("merge join with %s (sort orders aligned)", dimDesc))
 		} else {
@@ -180,7 +200,10 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 				return nil, err
 			}
 			innerOff = outer.Schema().Len()
-			if cur, err = planHashJoin(plan, opts, jt, fact, outer, inner, outerKeys, innerKeys, runningEst, dimDesc); err != nil {
+			if res, err = joinResidual(innerOff); err != nil {
+				return nil, err
+			}
+			if cur, err = planHashJoin(plan, opts, jt, fact, outer, inner, outerKeys, innerKeys, res, runningEst, dimDesc); err != nil {
 				return nil, err
 			}
 		}
@@ -213,13 +236,13 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 // planHashJoin joins outer to inner by hashing: partitioned across w ways
 // when the input is large enough, serial with a SIP filter otherwise.
 func planHashJoin(plan *PhysicalPlan, opts PlanOpts, jt exec.JoinType, fact *tableScan, outer, inner exec.Operator,
-	outerKeys, innerKeys []int, estRows float64, dimDesc string) (exec.Operator, error) {
+	outerKeys, innerKeys []int, residual expr.Expr, estRows float64, dimDesc string) (exec.Operator, error) {
 	if w := parallelWays(opts, estRows); w > 1 {
 		// Partitioned parallel hash join: both sides resegment on the
 		// join keys across w ways, so each way joins a complete,
 		// disjoint key partition (SIP is skipped — the probe scan sits
 		// behind an exchange and each way holds only a partial key set).
-		pj, err := planParallelHashJoin(plan, jt, outer, inner, outerKeys, innerKeys, w)
+		pj, err := planParallelHashJoin(plan, jt, outer, inner, outerKeys, innerKeys, residual, w)
 		if err != nil {
 			return nil, err
 		}
@@ -231,6 +254,7 @@ func planHashJoin(plan *PhysicalPlan, opts PlanOpts, jt exec.JoinType, fact *tab
 	if err != nil {
 		return nil, err
 	}
+	hj.Residual = residual
 	// SIP (paper §6.1): push a build-side key filter into the scan
 	// owning every outer key, for join types that discard
 	// unmatched probe rows.
@@ -420,7 +444,7 @@ func trySIP(fact *tableScan, outerKeys []int, joinDesc string) *exec.SIPFilter {
 // tryMergeJoin plans a merge join when both inputs are sorted on the join
 // keys: the fact's projection sort prefix must equal its keys (and the fact
 // must still be the bare scan), and likewise for the dimension.
-func tryMergeJoin(q *LogicalQuery, jt exec.JoinType, fact, dim *tableScan, cur exec.Operator, outerKeys, innerKeys []int) (exec.Operator, bool) {
+func tryMergeJoin(q *LogicalQuery, jt exec.JoinType, fact, dim *tableScan, cur exec.Operator, outerKeys, innerKeys []int, residual expr.Expr) (exec.Operator, bool) {
 	if jt != exec.InnerJoin && jt != exec.LeftOuterJoin {
 		return nil, false
 	}
@@ -441,6 +465,7 @@ func tryMergeJoin(q *LogicalQuery, jt exec.JoinType, fact, dim *tableScan, cur e
 	if err != nil {
 		return nil, false
 	}
+	mj.Residual = residual
 	return mj, true
 }
 
@@ -599,7 +624,7 @@ func (p *PhysicalPlan) noteWorkers(w int) {
 // exchanges), each way hash-joins a complete key partition, and a
 // ParallelUnion merges the ways. Correct for every join flavor because a
 // key value — NULLs included — lives in exactly one partition on each side.
-func planParallelHashJoin(plan *PhysicalPlan, jt exec.JoinType, outer, inner exec.Operator, outerKeys, innerKeys []int, w int) (exec.Operator, error) {
+func planParallelHashJoin(plan *PhysicalPlan, jt exec.JoinType, outer, inner exec.Operator, outerKeys, innerKeys []int, residual expr.Expr, w int) (exec.Operator, error) {
 	exOuter := exec.NewExchange([]exec.Operator{outer}, w, outerKeys)
 	exInner := exec.NewExchange([]exec.Operator{inner}, w, innerKeys)
 	outerPorts, innerPorts := exOuter.Ports(), exInner.Ports()
@@ -609,6 +634,7 @@ func planParallelHashJoin(plan *PhysicalPlan, jt exec.JoinType, outer, inner exe
 		if err != nil {
 			return nil, err
 		}
+		hj.Residual = residual
 		joins[i] = hj
 	}
 	plan.noteWorkers(w)
