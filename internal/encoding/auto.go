@@ -44,14 +44,14 @@ func Choose(v *vector.Vector) Kind {
 	if v.IsRLE() {
 		return RLE
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := bufPool.Get().(*sortBufs)
+	defer bufPool.Put(sc)
 	k, _ := choose(v, sc)
 	return k
 }
 
 // choose returns the smallest applicable candidate and its payload size.
-func choose(v *vector.Vector, sc *scratch) (Kind, int) {
+func choose(v *vector.Vector, sc *sortBufs) (Kind, int) {
 	best, bestSize := None, -1
 	for _, k := range candidateKinds(v.Typ) {
 		size, ok := payloadSize(k, v, sc)
@@ -89,7 +89,7 @@ func headerSize(v *vector.Vector) int {
 
 // payloadSize returns the exact number of payload bytes kind k writes for
 // the flat vector v, and false where the encoder would refuse the block.
-func payloadSize(k Kind, v *vector.Vector, sc *scratch) (int, bool) {
+func payloadSize(k Kind, v *vector.Vector, sc *sortBufs) (int, bool) {
 	switch k {
 	case None:
 		if v.Typ == types.Varchar {
@@ -171,7 +171,7 @@ func deltaRangeSize(v *vector.Vector) int {
 	return size
 }
 
-func blockDictSize(v *vector.Vector, sc *scratch) int {
+func blockDictSize(v *vector.Vector, sc *sortBufs) int {
 	var k, entries int
 	switch v.Typ {
 	case types.Float64:
@@ -190,7 +190,7 @@ func blockDictSize(v *vector.Vector, sc *scratch) int {
 	return uvarintLen(uint64(k)) + entries + packedSize(v.PhysLen(), bitWidth(k))
 }
 
-func commonDeltaSize(ints []int64, sc *scratch) (int, bool) {
+func commonDeltaSize(ints []int64, sc *sortBufs) (int, bool) {
 	n := len(ints)
 	if n == 0 {
 		return 0, true
@@ -245,26 +245,26 @@ func floatFromKey(k uint64) float64 {
 	return math.Float64frombits(^k)
 }
 
-// scratch holds the buffers one EncodeBlock call sorts and counts in, so
+// sortBufs holds the buffers one EncodeBlock call sorts and counts in, so
 // blocks reuse them instead of allocating per candidate.
-type scratch struct {
+type sortBufs struct {
 	ints, ints2 []int64
 	keys        []uint64
 	strs        []string
 	idx, freq   []int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var bufPool = sync.Pool{New: func() any { return new(sortBufs) }}
 
 // intsOf returns a copy of src in the first integer buffer.
-func (sc *scratch) intsOf(src []int64) []int64 {
+func (sc *sortBufs) intsOf(src []int64) []int64 {
 	sc.ints = append(sc.ints[:0], src...)
 	return sc.ints
 }
 
 // deltas returns the n-1 successive differences of ints in the first
 // integer buffer.
-func (sc *scratch) deltas(ints []int64) []int64 {
+func (sc *sortBufs) deltas(ints []int64) []int64 {
 	d := sc.ints[:0]
 	for i := 1; i < len(ints); i++ {
 		d = append(d, ints[i]-ints[i-1])
@@ -274,7 +274,7 @@ func (sc *scratch) deltas(ints []int64) []int64 {
 }
 
 // floatKeys returns the floatKey of every value in the key buffer.
-func (sc *scratch) floatKeys(fs []float64) []uint64 {
+func (sc *sortBufs) floatKeys(fs []float64) []uint64 {
 	keys := sc.keys[:0]
 	for _, f := range fs {
 		keys = append(keys, floatKey(f))
@@ -284,13 +284,13 @@ func (sc *scratch) floatKeys(fs []float64) []uint64 {
 }
 
 // strsOf returns a copy of src in the string buffer.
-func (sc *scratch) strsOf(src []string) []string {
+func (sc *sortBufs) strsOf(src []string) []string {
 	sc.strs = append(sc.strs[:0], src...)
 	return sc.strs
 }
 
 // indexes returns the index buffer with length n.
-func (sc *scratch) indexes(n int) []int {
+func (sc *sortBufs) indexes(n int) []int {
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
 	}

@@ -22,7 +22,7 @@ import (
 // via Auto (direct encode requests get an error).
 const maxCommonDeltaDict = 4096
 
-func encodeCommonDelta(buf []byte, v *vector.Vector, sc *scratch) ([]byte, error) {
+func encodeCommonDelta(buf []byte, v *vector.Vector, sc *sortBufs) ([]byte, error) {
 	if v.Typ == types.Float64 || v.Typ == types.Varchar {
 		return nil, fmt.Errorf("encoding: COMMONDELTA_COMP requires integral column, got %s", v.Typ)
 	}

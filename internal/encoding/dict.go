@@ -16,7 +16,7 @@ import (
 // are stored in a dictionary and actual values are replaced with references"
 // (paper §3.4.1).
 
-func encodeBlockDict(buf []byte, v *vector.Vector, sc *scratch) ([]byte, error) {
+func encodeBlockDict(buf []byte, v *vector.Vector, sc *sortBufs) ([]byte, error) {
 	idx := sc.indexes(v.PhysLen())
 	var k int
 	switch v.Typ {

@@ -115,8 +115,8 @@ func EncodeBlock(kind Kind, v *vector.Vector) ([]byte, error) {
 	if v.IsRLE() {
 		v = v.Expand()
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := bufPool.Get().(*sortBufs)
+	defer bufPool.Put(sc)
 	n := v.PhysLen()
 	capacity := n
 	if kind == Auto {

@@ -178,7 +178,7 @@ func TestPayloadSizeIsExact(t *testing.T) {
 	for _, c := range goldenCorpus() {
 		trial := TrialSizes(c.v)
 		for _, k := range candidateKinds(c.v.Typ) {
-			size, ok := payloadSize(k, c.v, new(scratch))
+			size, ok := payloadSize(k, c.v, new(sortBufs))
 			enc, err := EncodeBlock(k, c.v)
 			if ok != (err == nil) {
 				t.Fatalf("%s %s: sizer ok=%v, encoder err=%v", c.name, k, ok, err)
